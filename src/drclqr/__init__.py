@@ -30,7 +30,15 @@ from .bounds import (
     witness_plant,
 )
 from .cost import CostReport, cost_of_drc, cost_of_gain, drc_state_covariance, simulate
-from .drc import DRCPolicy, DRCSystemMatrices, assemble, induced_drc, solve_drc, truncation_residual
+from .drc import (
+    DRCPolicy,
+    DRCSystemMatrices,
+    assemble,
+    induced_drc,
+    solve_drc,
+    solve_drc_orders,
+    truncation_residual,
+)
 from .exceptions import (
     AsymmetricMatrix,
     DimensionMismatch,
@@ -113,6 +121,7 @@ __all__ = [
     "simulate",
     "solve_dare",
     "solve_drc",
+    "solve_drc_orders",
     "solve_dsylvester",
     "spectral_norm",
     "spectral_radius",

@@ -48,7 +48,7 @@ __all__ = [
 # and the witness rollouts cross it long before reaching float overflow.
 OVERFLOW_LIMIT = 1e50
 
-COST_METHODS = ("analytic_gain", "analytic_drc", "monte_carlo", "covariance_expansion")
+COST_METHODS = ("analytic_gain", "analytic_drc", "monte_carlo")
 
 
 @dataclass(frozen=True)

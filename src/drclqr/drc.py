@@ -11,7 +11,16 @@ one symmetric positive-definite linear system
     M L + J = 0 ,
 
 where M and J are built from the plant, the weights, and the infinite-horizon
-Gramian G (see :func:`assemble` for the block formulas).  The module also
+Gramian G (see :func:`assemble` for the block formulas).  At the optimum
+the average cost is trace(G) - trace(J'M^{-1}J).  With the Cholesky factor
+M = U'U and y = U'^{-1}(-J), whose k-th block row y_k depends only on the
+leading k x k blocks of M and the first k blocks of J, this is the prefix
+identity
+
+    cost(H) = trace(G) - sum_{k<=H} ||y_k||_F^2 ,
+
+so one factorization at the largest order prices every smaller order
+(:func:`solve_drc_orders`).  The module also
 constructs the policy induced by a state-feedback gain K, whose blocks are
 K(A+BK)^{k-1}, and evaluates the defect that truncating that infinite policy
 at order H leaves in the first H block rows of the stationarity condition.
@@ -35,6 +44,7 @@ __all__ = [
     "DRCSystemMatrices",
     "assemble",
     "solve_drc",
+    "solve_drc_orders",
     "induced_drc",
     "truncation_residual",
 ]
@@ -110,15 +120,17 @@ def _gram_matrix(G) -> np.ndarray:
 def assemble(sys: LQRSystem, G, H: int) -> DRCSystemMatrices:
     """Build the order-H system matrices M ((H n_u) sq.) and J ((H n_u) x n_x).
 
-    With G the infinite-horizon Gramian of (A, Q), block (k, m) of M is
+    With G the infinite-horizon Gramian of (A, Q), block d of J is
 
-        B'GB + R                                    k = m
-        B'G A^{k-m} B + S A^{k-m-1} B               k > m
-        B'(A^{m-k})'G B + B'(A^{m-k-1})' S'         k < m
+        J_d = B'G A^d + S A^{d-1} ,
 
-    and block k of J is  B'G A^k + S A^{k-1}.  Powers of A are computed once,
-    incrementally, and reused across blocks.  M is symmetric by construction
-    up to round-off (the k < m formula is the transpose of the k > m one).
+    and M is block-Toeplitz: block (k, m) depends only on d = k - m,
+
+        T_0 = B'GB + R ,   T_d = J_d B  (d >= 1) ,
+
+    with T_d below the diagonal and T_d' above it.  The J blocks come from
+    one running power of A, so assembly costs O(H) n x n products, and M is
+    exactly symmetric.
     """
     if H < 1:
         raise InvalidHorizon(f"H must be >= 1, got {H}")
@@ -126,27 +138,38 @@ def assemble(sys: LQRSystem, G, H: int) -> DRCSystemMatrices:
     A, B, S = sys.A, sys.B, sys.S
     n_u = sys.n_u
 
-    # A^0 .. A^H, built incrementally
-    powers = [np.eye(sys.n_x)]
-    for _ in range(H):
-        powers.append(powers[-1] @ A)
-
     BtG = B.T @ Gm
-    M = np.empty((H * n_u, H * n_u))
-    for k in range(1, H + 1):
-        for m in range(1, H + 1):
-            if k == m:
-                block = BtG @ B + sys.R
-            elif k > m:
-                d = k - m
-                block = BtG @ powers[d] @ B + S @ powers[d - 1] @ B
-            else:
-                d = m - k
-                block = B.T @ powers[d].T @ Gm @ B + B.T @ powers[d - 1].T @ S.T
-            M[(k - 1) * n_u : k * n_u, (m - 1) * n_u : m * n_u] = block
+    J = np.empty((H, n_u, sys.n_x))
+    power = np.eye(sys.n_x)  # A^{d-1}
+    for d in range(H):
+        J[d] = S @ power
+        power = power @ A
+        J[d] += BtG @ power
 
-    J = np.vstack([BtG @ powers[k] + S @ powers[k - 1] for k in range(1, H + 1)])
-    return DRCSystemMatrices(M=M, J=J, H=H)
+    T0 = BtG @ B + sys.R
+    T = np.concatenate(((T0 + T0.T)[None] / 2.0, J[: H - 1] @ B))  # T_0 .. T_{H-1}
+    # T_{-(H-1)} .. T_{H-1}, with T_{-d} = T_d'; block (k, m) is entry k - m
+    lagged = np.concatenate((T[:0:-1].transpose(0, 2, 1), T))
+    lags = np.arange(H)[:, None] - np.arange(H)[None, :] + (H - 1)
+    M = lagged[lags].transpose(0, 2, 1, 3).reshape(H * n_u, H * n_u)
+    return DRCSystemMatrices(M=M, J=J.reshape(H * n_u, sys.n_x), H=H)
+
+
+def _cholesky(M: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor U of the symmetric part of M, so that M = U'U.
+
+    A factorization failure raises :class:`NotPositiveDefinite` with a
+    lambda_min estimate; there is no least-squares fallback, by design.
+    """
+    M = (M + M.T) / 2.0
+    try:
+        return scipy.linalg.cholesky(M, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        lam = float(np.linalg.eigvalsh(M)[0])
+        raise NotPositiveDefinite(
+            f"assembled M is not positive definite (lambda_min ~ {lam:.6g})",
+            lambda_min=lam,
+        ) from exc
 
 
 def solve_drc(matrices: DRCSystemMatrices) -> DRCPolicy:
@@ -156,20 +179,42 @@ def solve_drc(matrices: DRCSystemMatrices) -> DRCPolicy:
     eigenvalue is floored by that of the Schur complement R - S Q^{-1} S'),
     so the solve is a Cholesky factorization.  A factorization failure means
     an assumption was violated upstream and raises
-    :class:`NotPositiveDefinite` with a lambda_min estimate; there is no
-    least-squares fallback, by design.
+    :class:`NotPositiveDefinite` with a lambda_min estimate.
     """
-    M = (matrices.M + matrices.M.T) / 2.0
-    try:
-        chol = scipy.linalg.cho_factor(M, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        lam = float(np.linalg.eigvalsh(M)[0])
-        raise NotPositiveDefinite(
-            f"assembled M is not positive definite (lambda_min ~ {lam:.6g})",
-            lambda_min=lam,
-        ) from exc
-    L = scipy.linalg.cho_solve(chol, -matrices.J, check_finite=False)
+    U = _cholesky(matrices.M)
+    L = scipy.linalg.cho_solve((U, False), -matrices.J, check_finite=False)
     return DRCPolicy.from_stacked(L, matrices.H)
+
+
+def solve_drc_orders(matrices: DRCSystemMatrices):
+    """First blocks and optimal costs of every order H = 1..matrices.H.
+
+    M_H is the leading principal block of M and J_H the leading block rows
+    of J, so one Cholesky factor M = U'U and one forward solve y = U'^{-1}(-J)
+    serve every order: the order-H solution is U_H^{-1} y_H.  U_H^{-1} is the
+    leading block of U^{-1}, so with R_k the k-th n_u x n_u block of the
+    first block row of U^{-1},
+
+        L_1^{(H)} = sum_{k<=H} R_k y_k ,
+
+    a prefix sum like the cost identity of the module docstring.  y and the
+    R_k come from one triangular solve.
+
+    Returns (first, saved): first[H-1] is L_1^{(H)} and saved[H-1] is
+    sum_{k<=H} ||y_k||_F^2, what the optimal order-H DRC saves against
+    trace(G).  An indefinite M raises :class:`NotPositiveDefinite`.
+    """
+    U = _cholesky(matrices.M)
+    H, n_u = matrices.H, matrices.n_u
+    n_x = matrices.J.shape[1]
+    # U'[y, R'] = [-J, E] with E the first n_u columns of the identity
+    rhs = np.hstack((-matrices.J, np.eye(H * n_u, n_u)))
+    z = scipy.linalg.solve_triangular(U, rhs, trans="T", check_finite=False)
+    y = z[:, :n_x].reshape(H, n_u, n_x)
+    R = z[:, n_x:].reshape(H, n_u, n_u).transpose(0, 2, 1)
+    first = np.cumsum(R @ y, axis=0)
+    saved = np.cumsum(np.sum(y**2, axis=(1, 2)))
+    return first, saved
 
 
 def induced_drc(K, sys: LQRSystem, H: int) -> DRCPolicy:

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from .exceptions import NoConvergence, SingularInnerSolve
-from .model import LQRSystem, spectral_norm, spectral_radius
+from .model import LQRSystem, spectral_norm
 
 __all__ = ["RiccatiSolution", "solve_dare", "dare_residual", "gain_from_value"]
 
@@ -103,12 +103,3 @@ def gain_from_value(sys: LQRSystem, P) -> np.ndarray:
     _, K = _dare_step(sys, P)
     return K
 
-
-def closed_loop(sys: LQRSystem, K) -> np.ndarray:
-    """The closed-loop transition matrix A + BK."""
-    return sys.A + sys.B @ np.atleast_2d(np.asarray(K, dtype=float))
-
-
-def is_stabilizing(sys: LQRSystem, K) -> bool:
-    """True when spectral_radius(A + BK) < 1."""
-    return spectral_radius(closed_loop(sys, K)) < 1.0

@@ -4,12 +4,13 @@ Everything here deliberately takes a different computational route from the
 package: value iteration instead of the fixed-point DARE solver, Kronecker
 and plain series summation instead of the doubling Gramian, brute-force tail
 summation instead of the Sylvester closed form, power growth instead of
-eigenvalues.  Slow is fine; independent is the point.
+eigenvalues, the O(H^2)-block direct formulas instead of the block-Toeplitz
+assembly.  Slow is fine; independent is the point.
 """
 
 import numpy as np
 
-from drclqr import LQRSystem, spectral_radius
+from drclqr import DRCSystemMatrices, InvalidHorizon, LQRSystem, spectral_radius
 
 
 def value_iteration_dare(sys_, steps=200):
@@ -29,6 +30,49 @@ def value_iteration_dare(sys_, steps=200):
         P = A_cl.T @ P @ A_cl + sys_.Q + K.T @ sys_.R @ K + K.T @ sys_.S + sys_.S.T @ K
         P = (P + P.T) / 2.0
     return P, K
+
+
+def direct_assemble(sys, G, H: int) -> DRCSystemMatrices:
+    """Build the order-H system matrices M ((H n_u) sq.) and J ((H n_u) x n_x).
+
+    With G the infinite-horizon Gramian of (A, Q), block (k, m) of M is
+
+        B'GB + R                                    k = m
+        B'G A^{k-m} B + S A^{k-m-1} B               k > m
+        B'(A^{m-k})'G B + B'(A^{m-k-1})' S'         k < m
+
+    and block k of J is  B'G A^k + S A^{k-1}.  Powers of A are computed once,
+    incrementally, and reused across blocks.  M is symmetric by construction
+    up to round-off (the k < m formula is the transpose of the k > m one).
+    Every block is its own product chain: O(H^2) products, test use only.
+    """
+    if H < 1:
+        raise InvalidHorizon(f"H must be >= 1, got {H}")
+    Gm = G.G if hasattr(G, "G") else np.atleast_2d(np.asarray(G, dtype=float))
+    A, B, S = sys.A, sys.B, sys.S
+    n_u = sys.n_u
+
+    # A^0 .. A^H, built incrementally
+    powers = [np.eye(sys.n_x)]
+    for _ in range(H):
+        powers.append(powers[-1] @ A)
+
+    BtG = B.T @ Gm
+    M = np.empty((H * n_u, H * n_u))
+    for k in range(1, H + 1):
+        for m in range(1, H + 1):
+            if k == m:
+                block = BtG @ B + sys.R
+            elif k > m:
+                d = k - m
+                block = BtG @ powers[d] @ B + S @ powers[d - 1] @ B
+            else:
+                d = m - k
+                block = B.T @ powers[d].T @ Gm @ B + B.T @ powers[d - 1].T @ S.T
+            M[(k - 1) * n_u : k * n_u, (m - 1) * n_u : m * n_u] = block
+
+    J = np.vstack([BtG @ powers[k] + S @ powers[k - 1] for k in range(1, H + 1)])
+    return DRCSystemMatrices(M=M, J=J, H=H)
 
 
 def kron_gramian(A, Q):

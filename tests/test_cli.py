@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,8 @@ from drclqr.cli import (
     write_csv,
 )
 from conftest import DEMO_PATH, SCALAR_UNSTABLE_PATH
+from numpy.random import default_rng
+from oracles import direct_assemble, random_system, random_unstable_system
 
 
 def write_doc(tmp_path, doc, name="sys.json"):
@@ -142,6 +148,33 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             run_sweep(demo_system, 0)
 
+    @pytest.mark.parametrize("plant", ["demo3x3", "random_stable", "random_unstable_with_k0"])
+    def test_rows_match_per_order_route(self, plant, demo_system):
+        # The sweep's one factorization against a fresh direct assembly,
+        # solve and trace-identity cost at every order.
+        K0 = None
+        if plant == "demo3x3":
+            sys_ = demo_system
+        elif plant == "random_stable":
+            sys_ = random_system(default_rng(5))
+        else:
+            sys_ = random_unstable_system(default_rng(7))
+            K0 = d.default_prestabilizer(sys_)
+        result = run_sweep(sys_, 30, K0=K0)
+
+        work = sys_ if K0 is None else d.transform(sys_, K0).transformed
+        sol = d.solve_dare(work)
+        G = d.gramian(work.A, work.Q)
+        tol_err = 1e-12 * (1 + np.linalg.norm(sol.K, 2))
+        tol_gap = 1e-10 * max(1.0, sol.trace_P)
+        assert [r.H for r in result.rows] == list(range(1, 31))
+        for row in result.rows:
+            policy = d.solve_drc(direct_assemble(work, G, row.H))
+            err = np.linalg.norm(policy.first - sol.K, 2)
+            gap = d.cost_of_drc(work, G, policy).value - sol.trace_P
+            assert abs(row.err_L1_K - err) <= tol_err
+            assert abs(row.cost_gap - gap) <= tol_gap
+
 
 class TestWriteCsv:
     def test_layout(self, demo_system):
@@ -250,6 +283,17 @@ class TestDispatch:
         captured = capsys.readouterr()
         assert "joint certificate" in captured.err
         assert captured.out.startswith(CSV_HEADER)
+
+    def test_python_dash_m_entry_point(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "drclqr", "validate", str(DEMO_PATH)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "accepted= true" in proc.stdout
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_unknown_log_level_warns(self, capsys, monkeypatch):
         monkeypatch.setenv("DRC_LQR_LOG", "chatty")

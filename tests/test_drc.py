@@ -4,7 +4,7 @@ from numpy.random import default_rng
 
 import drclqr as d
 from drclqr.bounds import schur_lambda_min
-from oracles import random_system, series_truncation_residual
+from oracles import direct_assemble, random_system, series_truncation_residual
 
 
 def scalar_system(a=0.5, b=1.0, q=1.0, r=1.0, s=0.0):
@@ -61,6 +61,19 @@ class TestAssemble:
         assert np.array_equal(mats_obj.M, mats_arr.M)
         assert np.array_equal(mats_obj.J, mats_arr.J)
 
+    @pytest.mark.parametrize("H", [1, 2, 7, 30])
+    def test_toeplitz_matches_direct_oracle(self, H):
+        rng = default_rng(40 + H)
+        for _ in range(6):
+            sys_ = random_system(rng)
+            G = d.gramian(sys_.A, sys_.Q)
+            mats = d.assemble(sys_, G, H)
+            ref = direct_assemble(sys_, G, H)
+            assert mats.H == ref.H == H
+            assert np.array_equal(mats.M, mats.M.T)
+            assert np.linalg.norm(mats.M - ref.M) <= 1e-12 * np.linalg.norm(ref.M)
+            assert np.linalg.norm(mats.J - ref.J) <= 1e-12 * np.linalg.norm(ref.J)
+
 
 class TestSolveDrc:
     def test_demo_solve_residual(self, demo_system, demo_gramian):
@@ -75,6 +88,32 @@ class TestSolveDrc:
         )
         with pytest.raises(d.NotPositiveDefinite) as exc:
             d.solve_drc(bad)
+        assert exc.value.lambda_min == pytest.approx(-1.0, abs=1e-12)
+
+
+class TestSolveDrcOrders:
+    def test_every_order_matches_its_own_solve(self):
+        rng = default_rng(11)
+        for _ in range(4):
+            sys_ = random_system(rng)
+            G = d.gramian(sys_.A, sys_.Q)
+            firsts, saveds = d.solve_drc_orders(d.assemble(sys_, G, 8))
+            assert firsts.shape == (8, sys_.n_u, sys_.n_x) and saveds.shape == (8,)
+            for H, (first, saved) in enumerate(zip(firsts, saveds), start=1):
+                mats = direct_assemble(sys_, G, H)
+                policy = d.solve_drc(mats)
+                L = policy.stacked()
+                scale = 1 + np.linalg.norm(L, 2)
+                assert np.linalg.norm(first - policy.first, 2) <= 1e-10 * scale
+                # at the optimum trace(L'J + L'ML) = -trace(L'J)
+                assert saved == pytest.approx(-np.trace(L.T @ mats.J), rel=1e-10)
+
+    def test_indefinite_m_rejected(self):
+        bad = d.DRCSystemMatrices(
+            M=np.array([[1.0, 0.0], [0.0, -1.0]]), J=np.zeros((2, 1)), H=2
+        )
+        with pytest.raises(d.NotPositiveDefinite) as exc:
+            d.solve_drc_orders(bad)
         assert exc.value.lambda_min == pytest.approx(-1.0, abs=1e-12)
 
 
