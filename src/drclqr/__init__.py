@@ -25,7 +25,6 @@ from .bounds import (
     gain_gap_bound,
     instability_witness,
     optimal_cost_gap_bound,
-    prestabilized_gain_gap_bound,
     schur_lambda_min,
     witness_plant,
 )
@@ -113,7 +112,6 @@ __all__ = [
     "joint_certificate",
     "load_system",
     "optimal_cost_gap_bound",
-    "prestabilized_gain_gap_bound",
     "recover_gain",
     "run_sweep",
     "save_system",

@@ -15,8 +15,6 @@ The bounds:
   gain (:func:`optimal_cost_gap_bound`) it also bounds the optimal H-order
   DRC's cost gap, because the optimal DRC can only improve on the truncated
   policy.  Decays like e^{-2 rho H}.
-* :func:`prestabilized_gain_gap_bound` — the gain gap bound evaluated on the
-  transformed (pre-stabilized) quantities; bounds ||bar K - L_1^{(H)}||.
 
 :func:`instability_witness` builds the classic hard plant (2's on the
 diagonal, 1's on the superdiagonal, input only through the last coordinate)
@@ -42,7 +40,6 @@ __all__ = [
     "gain_gap_bound",
     "cost_gap_bound",
     "optimal_cost_gap_bound",
-    "prestabilized_gain_gap_bound",
     "witness_plant",
     "instability_witness",
 ]
@@ -154,18 +151,6 @@ def optimal_cost_gap_bound(inp: BoundInputs, H: int) -> float:
     policy the bound covers.
     """
     return cost_gap_bound(inp, H)
-
-
-def prestabilized_gain_gap_bound(inp_bar: BoundInputs, H: int) -> float:
-    """Gain gap bound on the pre-stabilized system.
-
-    ``inp_bar`` carries the transformed quantities: norms of bar Q, bar S and
-    of bar K = K - K0, the Schur floor lambda_min(R - bar S bar Q^{-1} bar S'),
-    and a certificate valid for both A + B K0 and A + B K.  Bounds
-    ||bar K - L_1^{(H)}|| for the DRC synthesized on the transformed system.
-    With K0 = 0 it reduces to :func:`gain_gap_bound` on the original system.
-    """
-    return gain_gap_bound(inp_bar, H)
 
 
 # ---------------------------------------------------------------------------

@@ -208,7 +208,7 @@ def run_sweep(sys_: LQRSystem, H_max: int, K0=None, tol: float = 1e-12) -> Sweep
 
     sol = solve_dare(work, tol=tol)
     log.info("DARE solved: %d iterations, residual %.3e", sol.iterations, sol.residual_norm)
-    G = gramian(work.A, work.Q, tol=max(tol / 10.0, 1e-15))
+    G = gramian(work.A, work.Q)
     cert = joint_certificate(work.A, work.A + work.B @ sol.K)
     log.info("joint certificate: tau=%.6g rho=%.6g (k_max=%d)", cert.tau, cert.rho, cert.k_max)
     inp = bounds_mod.BoundInputs.from_system(work, sol.K, cert)
@@ -257,40 +257,39 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, system_file=True):
-        if system_file:
-            sp.add_argument("system", help="path to a JSON system file")
-            sp.add_argument("--lax", action="store_true", help="ignore unknown keys in the system file")
-        sp.add_argument("--tol", type=float, default=1e-12, help="solver tolerance (default 1e-12)")
+    def add_common(sp, dare=False):
+        sp.add_argument("system", help="path to a JSON system file")
+        sp.add_argument("--lax", action="store_true", help="ignore unknown keys in the system file")
+        if dare:
+            sp.add_argument("--tol", type=float, default=1e-12, help="DARE tolerance (default 1e-12)")
 
     sp = sub.add_parser("validate", help="check the standing positive-definiteness assumption")
     add_common(sp)
 
     sp = sub.add_parser("dare", help="solve the Riccati equation, print the optimal gain")
-    add_common(sp)
+    add_common(sp, dare=True)
 
     sp = sub.add_parser("drc", help="solve for the optimal H-order controller")
     add_common(sp)
     sp.add_argument("--h", type=int, required=True, metavar="H", help="controller order")
 
     sp = sub.add_parser("cost", help="optimal average cost, optionally vs an H-order controller")
-    add_common(sp)
+    add_common(sp, dare=True)
     sp.add_argument("--h", type=int, default=None, metavar="H", help="also price the optimal H-order controller")
 
     sp = sub.add_parser("sweep", help="H-sweep of gain/cost gaps against the certified bounds (CSV)")
-    add_common(sp)
+    add_common(sp, dare=True)
     sp.add_argument("--h-max", type=int, default=30, help="largest controller order (default 30)")
     sp.add_argument("--out", default=None, help="write CSV here instead of stdout")
 
     sp = sub.add_parser("simulate", help="Monte-Carlo cost of the optimal gain (or DRC with --h)")
-    add_common(sp)
+    add_common(sp, dare=True)
     sp.add_argument("--h", type=int, default=None, metavar="H", help="simulate the optimal H-order controller")
     sp.add_argument("--steps", type=int, default=200000, help="rollout length (default 200000)")
     sp.add_argument("--burn-in", type=int, default=1000, help="discarded prefix (default 1000)")
     sp.add_argument("--seed", type=int, default=0, help="noise seed (default 0)")
 
     sp = sub.add_parser("witness", help="covariance lower bound on the hard plant (no system file)")
-    add_common(sp, system_file=False)
     sp.add_argument("--n", type=int, required=True, help="state dimension")
     sp.add_argument("--h", type=int, required=True, metavar="H", help="controller order (1 <= H <= n)")
     sp.add_argument("--t", type=int, required=True, help="time index (t >= H)")
@@ -321,8 +320,8 @@ def _cmd_dare(args) -> int:
     return 0
 
 
-def _solved_policy(sys_: LQRSystem, H: int, tol: float):
-    G = gramian(sys_.A, sys_.Q, tol=max(tol / 10.0, 1e-15))
+def _solved_policy(sys_: LQRSystem, H: int):
+    G = gramian(sys_.A, sys_.Q)
     mats = assemble(sys_, G, H)
     policy = solve_drc(mats)
     return G, mats, policy
@@ -330,7 +329,7 @@ def _solved_policy(sys_: LQRSystem, H: int, tol: float):
 
 def _cmd_drc(args) -> int:
     sys_ = load_system(args.system, lax=args.lax)
-    G, mats, policy = _solved_policy(sys_, args.h, args.tol)
+    G, mats, policy = _solved_policy(sys_, args.h)
     residual = float(np.linalg.norm(mats.M @ policy.stacked() + mats.J, 2))
     print(f"H= {policy.H}")
     print(f"L1= {_fmt_matrix(policy.first)}")
@@ -346,7 +345,7 @@ def _cmd_cost(args) -> int:
     print(f"trace_P= {_fmt(sol.trace_P)}")
     print(f"cost_gain= {_fmt(gain_cost)}")
     if args.h is not None:
-        G, _, policy = _solved_policy(sys_, args.h, args.tol)
+        G, _, policy = _solved_policy(sys_, args.h)
         drc_cost = cost_of_drc(sys_, G, policy).value
         print(f"cost_drc= {_fmt(drc_cost)}")
         print(f"gap= {_fmt(drc_cost - sol.trace_P)}")
@@ -371,7 +370,7 @@ def _cmd_simulate(args) -> int:
         controller = solve_dare(sys_, tol=args.tol).K
         label = "gain"
     else:
-        _, _, controller = _solved_policy(sys_, args.h, args.tol)
+        _, _, controller = _solved_policy(sys_, args.h)
         label = f"drc_H{args.h}"
     report = simulate(sys_, controller, steps=args.steps, burn_in=args.burn_in, seed=args.seed)
     print(f"controller= {label}")

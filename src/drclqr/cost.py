@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drc import DRCPolicy, assemble
+from .drc import DRCPolicy, _gram_matrix, assemble
 from .exceptions import InvalidHorizon, NonFinite, Unstable
 from .lyapunov import gramian
 from .model import LQRSystem, spectral_radius
@@ -102,9 +102,8 @@ def cost_of_drc(sys: LQRSystem, G, policy: DRCPolicy) -> CostReport:
     if sr >= 1.0:
         raise Unstable(f"A has spectral radius {sr:.6g} >= 1; DRC cost diverges")
     mats = assemble(sys, G, policy.H)
-    Gm = G.G if hasattr(G, "G") else np.atleast_2d(np.asarray(G, dtype=float))
     L = policy.stacked()
-    value = float(np.trace(Gm + 2.0 * L.T @ mats.J + L.T @ mats.M @ L))
+    value = float(np.trace(_gram_matrix(G) + 2.0 * L.T @ mats.J + L.T @ mats.M @ L))
     return CostReport(value=value, method="analytic_drc")
 
 

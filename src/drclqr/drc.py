@@ -248,8 +248,8 @@ def truncation_residual(sys: LQRSystem, G, K, H: int) -> list:
 
         W = -(A'GB + S') K,     Y = A'Y(A+BK) + W   (solved for Y),
 
-    block k equals  B' (A')^{H-k} Y (A+BK)^H.  The Sylvester solve is exact
-    up to the linear solver, so this is the reference path; a brute-force
+    block k equals  B' (A')^{H-k} Y (A+BK)^H.  The Sylvester solve is direct
+    (exact up to round-off), so this is the reference path; a brute-force
     tail summation is kept in the test suite as the independent oracle.
 
     Requires A and A+BK both stable (the tail otherwise diverges).

@@ -1,16 +1,15 @@
 """Infinite-horizon Gramian accumulation and discrete Sylvester solves.
 
-Two pieces of machinery used by the controller-assembly and residual code:
+Both fixed points the package needs, the Gramian G = A'GA + Q and the
+truncation-defect identity Y = A'Y(A+BK) + W, are instances of the discrete
+Sylvester (Stein) equation A'XB + C = X, and one solver serves both:
 
-* :func:`gramian` computes G = sum_{t>=0} (A^t)' Q A^t, the open-loop
-  infinite-horizon state-cost accumulator, by the squaring (doubling)
-  recursion.  G exists iff A is stable and satisfies A'GA + Q = G.
-* :func:`solve_dsylvester` solves the discrete Sylvester equation
-  A'XB + C = X by one dense vectorized linear solve.  The equation has a
-  unique solution iff no eigenvalue product lambda_i(A)*mu_j(B) equals 1.
-
-Problem sizes here are desk scale (n of a few tens at most), so the O(n^6)
-Kronecker solve is perfectly serviceable and trivially auditable.
+* :func:`solve_dsylvester` is the Bartels-Stewart method adapted to the
+  discrete case: complex Schur forms of A' and B reduce the equation to n
+  triangular solves, O(n^3) in all.  The solution is unique iff no
+  eigenvalue product lambda_i(A)*mu_j(B) equals 1.
+* :func:`gramian` is that solve with B = A and C = Q, symmetrized.  G is the
+  series sum_{t>=0} (A^t)' Q A^t and exists iff A is stable.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import schur, solve_triangular
 
 from .exceptions import DimensionMismatch, SingularPencil, Unstable
 from .model import StabilityCertificate, spectral_norm, spectral_radius
@@ -33,24 +33,19 @@ class Gramian:
     """G = sum_{t>=0} (A^t)' Q A^t together with its fixed-point defect.
 
     ``defect`` is ||A'GA + Q - G|| (spectral norm), reported so callers can
-    see how tightly the accumulation converged.
+    see how accurately the solve meets the fixed point.
     """
 
     G: np.ndarray
     defect: float
 
 
-def gramian(A, Q, tol: float = 1e-13) -> Gramian:
-    """Accumulate G = sum_{t>=0} (A^t)' Q A^t by repeated squaring.
+def gramian(A, Q) -> Gramian:
+    """Solve G = A'GA + Q, whose solution is G = sum_{t>=0} (A^t)' Q A^t.
 
-    Starting from G_0 = Q, A_0 = A, the recursion
-
-        G_{j+1} = G_j + A_j' G_j A_j,    A_{j+1} = A_j @ A_j
-
-    doubles the number of series terms captured per step; it stops when
-    ||A_j||^2 * ||G_j|| <= tol, i.e. when the next contribution cannot move
-    the sum.  The result is symmetrized (the recursion preserves symmetry up
-    to round-off) and the Lyapunov defect ||A'GA + Q - G|| is reported.
+    One :func:`solve_dsylvester` call with B = A.  The result is symmetrized
+    (the solve preserves symmetry up to round-off) and the Lyapunov defect
+    ||A'GA + Q - G|| is reported.
 
     Raises :class:`Unstable` when spectral_radius(A) >= 1: the series
     diverges and G is undefined.
@@ -63,11 +58,7 @@ def gramian(A, Q, tol: float = 1e-13) -> Gramian:
     if sr >= 1.0:
         raise Unstable(f"spectral radius {sr:.6g} >= 1; the Gramian series diverges")
 
-    G = Q.copy()
-    Aj = A.copy()
-    while spectral_norm(Aj) ** 2 * spectral_norm(G) > tol:
-        G = G + Aj.T @ G @ Aj
-        Aj = Aj @ Aj
+    G = solve_dsylvester(A, A, Q)
     G = (G + G.T) / 2.0
     defect = spectral_norm(A.T @ G @ A + Q - G)
     return Gramian(G=G, defect=defect)
@@ -76,13 +67,15 @@ def gramian(A, Q, tol: float = 1e-13) -> Gramian:
 def solve_dsylvester(A, B, C) -> np.ndarray:
     """Solve the discrete Sylvester equation  A'XB + C = X  for X.
 
-    Vectorizing column-major turns the equation into
+    With complex Schur forms A' = U S U* and B = V T V* (S, T upper
+    triangular), Z = U* X V satisfies S Z T + U* C V = Z, so column j of Z
+    solves the triangular system
 
-        (I - kron(B', A')) vec(X) = vec(C),
+        (I - T_jj S) z_j = (U* C V)_j + S sum_{i<j} z_i T_ij
 
-    a dense n^2 x n^2 solve.  Uniqueness requires lambda_i(A) * mu_j(B) != 1
-    for every eigenvalue pair; :class:`SingularPencil` is raised when any
-    product comes within ``PENCIL_TOL`` of 1.
+    once the columns before it are known.  The diagonals of S and T are the
+    eigenvalues lambda_i(A) and mu_j(B); :class:`SingularPencil` is raised
+    when some |1 - lambda_i mu_j| is at most ``PENCIL_TOL``.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -93,18 +86,21 @@ def solve_dsylvester(A, B, C) -> np.ndarray:
             f"solve_dsylvester needs three n x n matrices, got {A.shape}, {B.shape}, {C.shape}"
         )
 
-    lam = np.linalg.eigvals(A)
-    mu = np.linalg.eigvals(B)
-    products = np.outer(lam, mu)
-    closest = float(np.min(np.abs(products - 1.0)))
+    S, U = schur(A.T, output="complex")
+    T, V = schur(B, output="complex")
+    closest = float(np.min(np.abs(1.0 - np.outer(np.diag(S), np.diag(T)))))
     if closest <= PENCIL_TOL:
         raise SingularPencil(
             f"eigenvalue product within {closest:.3e} of 1; A'XB + C = X has no unique solution"
         )
 
-    coeff = np.eye(n * n) - np.kron(B.T, A.T)
-    x = np.linalg.solve(coeff, C.flatten(order="F"))
-    return x.reshape((n, n), order="F")
+    F = U.conj().T @ C @ V
+    Z = np.empty_like(F)
+    eye = np.eye(n)
+    for j in range(n):
+        rhs = F[:, j] + S @ (Z[:, :j] @ T[:j, j])
+        Z[:, j] = solve_triangular(eye - T[j, j] * S, rhs, check_finite=False)
+    return (U @ Z @ V.conj().T).real
 
 
 def gramian_power_bound(cert: StabilityCertificate, normQ: float, m: int) -> float:

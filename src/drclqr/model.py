@@ -138,8 +138,6 @@ class ValidationReport:
     lambda_min_joint: float
     lambda_min_Q: float
     lambda_min_R: float
-    asymmetry_Q: float
-    asymmetry_R: float
     accepted: bool
 
 
@@ -157,9 +155,6 @@ def validate_system(sys: LQRSystem) -> ValidationReport:
         lambda_min_joint=lam_joint,
         lambda_min_Q=float(np.linalg.eigvalsh(sys.Q)[0]),
         lambda_min_R=float(np.linalg.eigvalsh(sys.R)[0]),
-        # post-symmetrization these are exact zeros; reported for completeness
-        asymmetry_Q=float(np.max(np.abs(sys.Q - sys.Q.T))),
-        asymmetry_R=float(np.max(np.abs(sys.R - sys.R.T))),
         accepted=lam_joint > 0.0,
     )
     if not report.accepted:

@@ -2,7 +2,7 @@
 
 Everything here deliberately takes a different computational route from the
 package: value iteration instead of the fixed-point DARE solver, Kronecker
-and plain series summation instead of the doubling Gramian, brute-force tail
+and plain series summation instead of the Schur solver, brute-force tail
 summation instead of the Sylvester closed form, power growth instead of
 eigenvalues, the O(H^2)-block direct formulas instead of the block-Toeplitz
 assembly.  Slow is fine; independent is the point.

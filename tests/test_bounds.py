@@ -107,11 +107,6 @@ class TestCostGapBound:
         for H in (1, 3, 7):
             assert d.optimal_cost_gap_bound(inp, H) == d.cost_gap_bound(inp, H)
 
-    def test_prestabilized_variant_is_gain_expression(self):
-        inp = unit_inputs(tau=1.5, rho=0.4, normS=0.2)
-        for H in (1, 3, 7):
-            assert d.prestabilized_gain_gap_bound(inp, H) == d.gain_gap_bound(inp, H)
-
     def test_sound_on_demo_for_both_policies(
         self, demo_system, demo_solution, demo_gramian, demo_cert
     ):

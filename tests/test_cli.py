@@ -267,6 +267,13 @@ class TestDispatch:
         assert dispatch([]) == 2
         capsys.readouterr()
 
+    def test_tol_only_where_a_dare_is_solved(self, capsys):
+        assert dispatch(["dare", str(DEMO_PATH), "--tol", "1e-10"]) == 0
+        assert dispatch(["validate", str(DEMO_PATH), "--tol", "1e-10"]) == 2
+        assert dispatch(["drc", str(DEMO_PATH), "--h", "2", "--tol", "1e-10"]) == 2
+        assert dispatch(["witness", "--n", "2", "--h", "1", "--t", "2", "--tol", "1e-10"]) == 2
+        assert "--tol" in capsys.readouterr().err
+
     def test_unstable_sweep_without_k0_exits_one(self, tmp_path, capsys):
         path = write_doc(tmp_path, scalar_doc(A=[[1.5]]))
         assert dispatch(["sweep", path, "--h-max", "3"]) == 1
