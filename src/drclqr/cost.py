@@ -19,7 +19,17 @@ the bounds module.
 Noise is unit covariance throughout; every identity here is stated for that
 normalization.  The Monte-Carlo stream is counter-based: the disturbance at
 step t is a pure function of (seed, t), so rollouts are reproducible and
-order-independent by construction.
+order-independent by construction.  Its layout: with p = ceil(n/2)
+Box-Muller pairs and s = ceil(2p/4), step t reads the Philox stream keyed on
+the seed at counter increments t*s+1 .. t*s+s (four uint64 each, one
+uniform double per uint64) and uses the first 2p doubles, p for the radii
+and p for the angles.  A rollout draws its noise in blocks of steps, one
+generator per block.  (An earlier layout keyed one generator on (seed, t)
+per step, so the same seed gave different numbers before.)
+
+The Monte-Carlo ``std_error`` is a batch-means estimate: floor(sqrt(n))
+consecutive batches over the n post-burn-in costs.  Stage costs of a
+rollout are autocorrelated, and std / sqrt(n) would understate the error.
 """
 
 from __future__ import annotations
@@ -55,8 +65,8 @@ COST_METHODS = ("analytic_gain", "analytic_drc", "monte_carlo")
 class CostReport:
     """Average per-step cost plus how it was obtained.
 
-    ``std_error`` is 0 for the analytic methods and the usual sample standard
-    error for Monte-Carlo.
+    ``std_error`` is 0 for the analytic methods and, for Monte-Carlo, the
+    batch-means standard error of the mean (0 for a single cost).
     """
 
     value: float
@@ -108,32 +118,85 @@ def cost_of_drc(sys: LQRSystem, G, policy: DRCPolicy) -> CostReport:
 
 
 # ---------------------------------------------------------------------------
-# Seeded counter-based noise
+# Seeded counter-based noise and the blocked rollout
 # ---------------------------------------------------------------------------
+
+# The rollout runs in blocks of _BLOCK steps, so its working memory does not
+# grow with `steps`.  Within a block the state recursion runs on chunks of
+# _CHUNK steps: _CHUNK + _BLOCK / _CHUNK Python-level iterations per block
+# instead of _BLOCK.
+_BLOCK = 2048
+_CHUNK = 64
+
+
+def _noise(seed: int, t0: int, m: int, n: int) -> np.ndarray:
+    """Disturbances of steps t0 .. t0+m-1 as the rows of an (m, n) array.
+
+    One generator serves the block; by the counter layout in the module
+    docstring a row depends only on (seed, t), not on the block it came from.
+    """
+    pairs = (n + 1) // 2
+    s = (2 * pairs + 3) // 4
+    gen = np.random.Generator(np.random.Philox(key=seed, counter=t0 * s))
+    u = gen.random((m, 4 * s))
+    r = np.sqrt(-2.0 * np.log(1.0 - u[:, :pairs]))  # 1 - u lies in (0, 1]: finite log
+    angle = 2.0 * np.pi * u[:, pairs : 2 * pairs]
+    z = np.empty((m, 2 * pairs))
+    z[:, 0::2] = r * np.cos(angle)
+    z[:, 1::2] = r * np.sin(angle)
+    return z[:, :n]
+
 
 def disturbance(seed: int, t: int, n: int) -> np.ndarray:
     """The standard-normal disturbance vector for step t of a rollout.
 
-    A Philox generator keyed on (seed, t) supplies the uniforms, Box-Muller
-    turns them into normals; component i of the result is the i-th draw of
-    that per-step block.  Pure function of its arguments: two calls with the
-    same (seed, t, n) return identical vectors regardless of call order.
+    Row t of the stream :func:`simulate` draws in blocks (see the module
+    docstring for the counter layout).  Pure function of its arguments: two
+    calls with the same (seed, t, n) return identical vectors regardless of
+    call order.
     """
-    gen = np.random.Generator(np.random.Philox(key=np.array([seed, t], dtype=np.uint64)))
-    pairs = (n + 1) // 2
-    u = gen.random(2 * pairs)
-    u1 = 1.0 - u[:pairs]  # shift into (0, 1] so the log is finite
-    u2 = u[pairs:]
-    r = np.sqrt(-2.0 * np.log(u1))
-    z = np.empty(2 * pairs)
-    z[0::2] = r * np.cos(2.0 * np.pi * u2)
-    z[1::2] = r * np.sin(2.0 * np.pi * u2)
-    return z[:n]
+    return _noise(seed, t, 1, n)[0]
 
 
-def _check_finite(x: np.ndarray, t: int):
-    if not np.all(np.isfinite(x)) or float(np.max(np.abs(x))) > OVERFLOW_LIMIT:
-        raise NonFinite(f"state overflow at step {t} (|x| > {OVERFLOW_LIMIT:g})", step=t)
+def _states(x0: np.ndarray, d: np.ndarray, powers_T: np.ndarray) -> np.ndarray:
+    """States x_0 .. x_m of x_{t+1} = F x_t + d_t from x_0 = x0, shape (m+1, n).
+
+    ``powers_T`` is [F^0' F^1' ... F^c'] side by side.  The m steps split into
+    chunks of c: every chunk runs from a zero start at once (c iterations),
+    the true chunk start states follow through F^c (m/c iterations), and
+    F^j times its start is added to each chunk's j-th zero-start state.
+    """
+    m, n = d.shape
+    c = powers_T.shape[1] // n - 1
+    chunks = -(-m // c)
+    forcing = np.zeros((chunks * c, n))
+    forcing[:m] = d
+    forcing = forcing.reshape(chunks, c, n)
+    F_T, F_c_T = powers_T[:, n : 2 * n], powers_T[:, c * n :]
+    zero_start = np.zeros((chunks, c + 1, n))
+    for j in range(c):
+        zero_start[:, j + 1] = zero_start[:, j] @ F_T + forcing[:, j]
+    starts = np.empty((chunks + 1, n))
+    starts[0] = x0
+    for i in range(chunks):
+        starts[i + 1] = starts[i] @ F_c_T + zero_start[i, c]
+    x = (starts[:chunks] @ powers_T[:, : c * n]).reshape(chunks, c, n) + zero_start[:, :c]
+    return np.vstack((x.reshape(-1, n), starts[chunks]))[: m + 1]
+
+
+def _batch_means_error(costs: np.ndarray) -> float:
+    """Standard error of the mean of autocorrelated costs, by batch means.
+
+    floor(sqrt(n)) (at least two) consecutive batches of n // b costs; the
+    spread of their means is honest once a batch outlasts the correlation
+    time, where std / sqrt(n) would treat every step as independent.
+    """
+    n = costs.size
+    if n <= 1:
+        return 0.0
+    b = max(int(np.sqrt(n)), 2)
+    means = costs[: b * (n // b)].reshape(b, -1).mean(axis=1)
+    return float(np.std(means, ddof=1) / np.sqrt(b))
 
 
 def simulate(sys: LQRSystem, controller, steps: int, burn_in: int = 1000, seed: int = 0) -> CostReport:
@@ -141,19 +204,23 @@ def simulate(sys: LQRSystem, controller, steps: int, burn_in: int = 1000, seed: 
 
     Rolls x_{t+1} = A x_t + B u_t + w_t from x_0 = 0 with the counter-based
     noise of :func:`disturbance`; the reported value is the mean stage cost
-    over t in [burn_in, steps) and std_error the sample standard error over
-    that window.  Gain controllers must be stabilizing (the estimate is
-    meaningless otherwise); a DRC on an unstable plant is allowed to run and
-    diverge, surfacing as :class:`NonFinite` with the offending step index.
+    over t in [burn_in, steps) and std_error its batch-means standard error
+    (floor(sqrt(n)) batches over the n costs of that window).  Gain
+    controllers must be stabilizing (the estimate is meaningless otherwise);
+    a DRC on an unstable plant is allowed to run and diverge, surfacing as
+    :class:`NonFinite` with the step whose update produced the first state
+    that is non-finite or exceeds ``OVERFLOW_LIMIT``.
 
-    A DRC uses the true realized disturbances, with w_s = 0 for s < 0.
+    A DRC uses the true realized disturbances, with w_s = 0 for s < 0.  The
+    work runs in fixed blocks of steps: the DRC input as an FIR filter over
+    the block's noise, the state by a chunked recursion (see ``_states``).
     """
     if burn_in < 0 or steps <= burn_in:
         raise ValueError(f"need steps > burn_in >= 0, got steps={steps}, burn_in={burn_in}")
     steps = int(steps)
     burn_in = int(burn_in)
     n_x, n_u = sys.n_x, sys.n_u
-    A, B, Q, R, S = sys.A, sys.B, sys.Q, sys.R, sys.S
+    A, B = sys.A, sys.B
 
     if isinstance(controller, DRCPolicy):
         if controller.n_x != n_x or controller.n_u != n_u:
@@ -161,31 +228,45 @@ def simulate(sys: LQRSystem, controller, steps: int, burn_in: int = 1000, seed: 
                 f"policy blocks are {controller.n_u} x {controller.n_x}, system needs {n_u} x {n_x}"
             )
         H = controller.H
-        # blocks side by side: u_t = L_flat @ [w_{t-1}; ...; w_{t-H}]
-        L_flat = np.hstack(controller.blocks)
-        hist = np.zeros(H * n_x)
         gain = None
+        F = A
+        hist = np.zeros((H, n_x))  # w_{t0-H} .. w_{t0-1}
     else:
         gain = np.atleast_2d(np.asarray(controller, dtype=float))
-        sr = spectral_radius(A + B @ gain)
+        F = A + B @ gain
+        sr = spectral_radius(F)
         if sr >= 1.0:
             raise Unstable(f"closed loop A+BK has spectral radius {sr:.6g} >= 1")
 
+    weight = np.block([[sys.Q, sys.S.T], [sys.S, sys.R]])  # stage cost z'Wz, z = [x; u]
     x = np.zeros(n_x)
     costs = np.empty(steps - burn_in)
-    for t in range(steps):
-        u = gain @ x if gain is not None else L_flat @ hist
-        if t >= burn_in:
-            costs[t - burn_in] = x @ (Q @ x) + u @ (R @ u) + 2.0 * u @ (S @ x)
-        w = disturbance(seed, t, n_x)
-        x = A @ x + B @ u + w
-        _check_finite(x, t)
-        if gain is None:
-            hist = np.concatenate((w, hist[: (H - 1) * n_x])) if H > 1 else w
-    n = costs.size
-    value = float(np.mean(costs))
-    std_error = float(np.std(costs, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return CostReport(value=value, method="monte_carlo", std_error=std_error)
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = [np.eye(n_x)]
+        for _ in range(_CHUNK):
+            powers.append(F @ powers[-1])
+        powers_T = np.hstack([P.T for P in powers])
+        for t0 in range(0, steps, _BLOCK):
+            m = min(_BLOCK, steps - t0)
+            w = _noise(seed, t0, m, n_x)
+            if gain is None:
+                padded = np.vstack((hist, w))
+                u = sum(padded[H - k : H - k + m] @ L.T for k, L in enumerate(controller.blocks, start=1))
+                hist = padded[m:]
+                d = u @ B.T + w
+            else:
+                d = w
+            xs = _states(x, d, powers_T)
+            bad = ~np.all(np.abs(xs[1:]) <= OVERFLOW_LIMIT, axis=1)
+            if bad.any():
+                t = t0 + int(np.argmax(bad))
+                raise NonFinite(f"state overflow at step {t} (|x| > {OVERFLOW_LIMIT:g})", step=t)
+            x = xs[m]
+            lo = max(burn_in - t0, 0)
+            if lo < m:
+                z = np.hstack((xs[lo:m], xs[lo:m] @ gain.T if gain is not None else u[lo:m]))
+                costs[t0 + lo - burn_in : t0 + m - burn_in] = np.einsum("ij,ij->i", z @ weight, z)
+    return CostReport(value=float(np.mean(costs)), method="monte_carlo", std_error=_batch_means_error(costs))
 
 
 def drc_state_covariance(sys: LQRSystem, policy: DRCPolicy, t: int) -> np.ndarray:

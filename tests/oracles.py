@@ -5,12 +5,23 @@ package: value iteration instead of the fixed-point DARE solver, Kronecker
 and plain series summation instead of the Schur solver, brute-force tail
 summation instead of the Sylvester closed form, power growth instead of
 eigenvalues, the O(H^2)-block direct formulas instead of the block-Toeplitz
-assembly.  Slow is fine; independent is the point.
+assembly, a per-step rollout instead of the blocked one.  Slow is fine;
+independent is the point.
 """
 
 import numpy as np
 
-from drclqr import DRCSystemMatrices, InvalidHorizon, LQRSystem, spectral_radius
+from drclqr import (
+    CostReport,
+    DRCPolicy,
+    DRCSystemMatrices,
+    InvalidHorizon,
+    LQRSystem,
+    NonFinite,
+    Unstable,
+    spectral_radius,
+)
+from drclqr.cost import OVERFLOW_LIMIT, disturbance
 
 
 def value_iteration_dare(sys_, steps=200):
@@ -168,3 +179,55 @@ def random_unstable_system(rng, n=3, m=1, sr=1.3, margin=0.1):
     W = rng.normal(size=(n + m, n + m))
     joint = W @ W.T + margin * np.eye(n + m)
     return LQRSystem(A=A, B=B, Q=joint[:n, :n], R=joint[n:, n:], S=joint[n:, :n])
+
+
+def _check_finite(x: np.ndarray, t: int):
+    if not np.all(np.isfinite(x)) or float(np.max(np.abs(x))) > OVERFLOW_LIMIT:
+        raise NonFinite(f"state overflow at step {t} (|x| > {OVERFLOW_LIMIT:g})", step=t)
+
+
+def loop_simulate(sys: LQRSystem, controller, steps: int, burn_in: int = 1000, seed: int = 0) -> CostReport:
+    """One Python iteration per step: the rollout ``simulate`` replaced.
+
+    Draws step t's noise from ``disturbance(seed, t, n_x)``, keeps the DRC's
+    disturbance history as a shifting vector and checks the state after every
+    update.  Its ``std_error`` is the naive i.i.d. one, std / sqrt(n).
+    """
+    if burn_in < 0 or steps <= burn_in:
+        raise ValueError(f"need steps > burn_in >= 0, got steps={steps}, burn_in={burn_in}")
+    steps = int(steps)
+    burn_in = int(burn_in)
+    n_x, n_u = sys.n_x, sys.n_u
+    A, B, Q, R, S = sys.A, sys.B, sys.Q, sys.R, sys.S
+
+    if isinstance(controller, DRCPolicy):
+        if controller.n_x != n_x or controller.n_u != n_u:
+            raise InvalidHorizon(
+                f"policy blocks are {controller.n_u} x {controller.n_x}, system needs {n_u} x {n_x}"
+            )
+        H = controller.H
+        # blocks side by side: u_t = L_flat @ [w_{t-1}; ...; w_{t-H}]
+        L_flat = np.hstack(controller.blocks)
+        hist = np.zeros(H * n_x)
+        gain = None
+    else:
+        gain = np.atleast_2d(np.asarray(controller, dtype=float))
+        sr = spectral_radius(A + B @ gain)
+        if sr >= 1.0:
+            raise Unstable(f"closed loop A+BK has spectral radius {sr:.6g} >= 1")
+
+    x = np.zeros(n_x)
+    costs = np.empty(steps - burn_in)
+    for t in range(steps):
+        u = gain @ x if gain is not None else L_flat @ hist
+        if t >= burn_in:
+            costs[t - burn_in] = x @ (Q @ x) + u @ (R @ u) + 2.0 * u @ (S @ x)
+        w = disturbance(seed, t, n_x)
+        x = A @ x + B @ u + w
+        _check_finite(x, t)
+        if gain is None:
+            hist = np.concatenate((w, hist[: (H - 1) * n_x])) if H > 1 else w
+    n = costs.size
+    value = float(np.mean(costs))
+    std_error = float(np.std(costs, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return CostReport(value=value, method="monte_carlo", std_error=std_error)

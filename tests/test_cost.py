@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.random import default_rng
 
 import drclqr as d
-from drclqr.cost import COST_METHODS, disturbance
-from oracles import kron_gramian
+from drclqr.cost import _BLOCK, _CHUNK, COST_METHODS, _noise, disturbance
+from conftest import DEMO_PATH
+from oracles import kron_gramian, loop_simulate
 
 
 def scalar_system(a=0.5, b=1.0, q=1.0, r=1.0, s=0.0):
@@ -97,8 +100,77 @@ class TestDisturbance:
         assert abs(draws.mean()) <= 4.0 / np.sqrt(draws.size)
         assert abs(draws.var() - 1.0) <= 4.0 * np.sqrt(2.0 / draws.size)
 
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_rows_of_the_block_stream_across_a_block_boundary(self, n):
+        steps = 2 * _BLOCK + 5
+        stream = np.vstack([_noise(7, t0, min(_BLOCK, steps - t0), n) for t0 in range(0, steps, _BLOCK)])
+        for t in (0, _BLOCK - 1, _BLOCK, _BLOCK + 1, steps - 1):
+            assert np.array_equal(stream[t], disturbance(7, t, n))
+
+
+def two_state_system():
+    return d.LQRSystem(
+        A=[[0.6, 0.3], [-0.2, 0.7]], B=[[1.0], [0.5]], Q=[[2.0, 0.3], [0.3, 1.0]], R=[[0.5]], S=[[0.1, -0.2]]
+    )
+
+
+def drc_of_order(sys_, H):
+    return d.solve_drc(d.assemble(sys_, d.gramian(sys_.A, sys_.Q), H))
+
 
 class TestSimulate:
+    @pytest.mark.parametrize(
+        "system, H, steps, burn_in",
+        [
+            # n odd, a gain, steps a multiple of neither the chunk nor the block, no burn-in
+            (lambda: d.load_system(DEMO_PATH), None, _BLOCK + _CHUNK + 5, 0),
+            # n even, order larger than the final block's 3 steps
+            (two_state_system, 10, _BLOCK + 3, 50),
+            # n = 1, order 1, burn-in ending inside the second block
+            (lambda: scalar_system(a=0.9), 1, 2 * _BLOCK + 7, _BLOCK + 100),
+            # one block, one step short of a full one
+            (lambda: d.load_system(DEMO_PATH), 4, _BLOCK - 1, 0),
+            # two costs, both in the last chunk
+            (two_state_system, None, 3 * _CHUNK + 1, 3 * _CHUNK - 1),
+        ],
+    )
+    def test_matches_the_per_step_loop(self, system, H, steps, burn_in):
+        sys_ = system()
+        controller = d.solve_dare(sys_).K if H is None else drc_of_order(sys_, H)
+        rep = d.simulate(sys_, controller, steps=steps, burn_in=burn_in, seed=4)
+        ref = loop_simulate(sys_, controller, steps=steps, burn_in=burn_in, seed=4)
+        assert rep.value == pytest.approx(ref.value, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "sys_, H",
+        [
+            (scalar_system(a=2.0), 1),  # crosses the limit in the first block
+            (scalar_system(a=1.01), 1),  # ... in the sixth block
+            (scalar_system(a=1e200), 1),  # F^2 already overflows
+            (d.witness_plant(4), 3),
+        ],
+    )
+    def test_divergence_step_matches_the_loop_without_warnings(self, sys_, H):
+        rng = default_rng(8)
+        policy = d.DRCPolicy(blocks=tuple(rng.normal(size=(sys_.n_u, sys_.n_x)) for _ in range(H)))
+        with pytest.raises(d.NonFinite) as ref:
+            loop_simulate(sys_, policy, steps=20_000, burn_in=0, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(d.NonFinite) as exc:
+                d.simulate(sys_, policy, steps=20_000, burn_in=0, seed=0)
+        assert exc.value.step == ref.value.step
+
+    def test_std_error_matches_the_spread_across_seeds(self):
+        # stage costs x_t^2 of x_{t+1} = 0.95 x_t + w_t are correlated over
+        # (1 + a^2) / (1 - a^2) ~ 19.5 steps, so std / sqrt(n) is ~4.4x too small
+        sys_ = scalar_system(a=0.95)
+        policy = d.DRCPolicy(blocks=(np.zeros((1, 1)),))
+        reps = [d.simulate(sys_, policy, steps=20_000, burn_in=1000, seed=seed) for seed in range(24)]
+        spread = np.std([r.value for r in reps], ddof=1)
+        ratio = np.mean([r.std_error for r in reps]) / spread
+        assert 0.5 <= ratio <= 2.0
+
     def test_deterministic_given_seed(self, demo_system, demo_solution):
         a = d.simulate(demo_system, demo_solution.K, steps=500, burn_in=100, seed=9)
         b = d.simulate(demo_system, demo_solution.K, steps=500, burn_in=100, seed=9)
