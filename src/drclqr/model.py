@@ -14,10 +14,19 @@ standing assumption everywhere in this package is that the joint weight block
 is positive definite, which is what :func:`validate_system` checks.
 
 The second object is :class:`StabilityCertificate`, a constructive pair
-(tau, rho) witnessing the exponential decay ||M^k|| <= tau * exp(-rho*k) of a
-stable matrix.  Certificates are produced by an exhaustive power scan, so the
-invariant holds by construction for every power actually inspected.  All norms
-here and elsewhere in the package are spectral (operator-2) norms.
+(tau, rho) witnessing the exponential decay ||M^k|| <= tau * exp(-rho*k) of
+one stable matrix (:func:`estimate_certificate`) or of the open and closed
+loop together (:func:`joint_certificate`).  The rate is chosen first:
+
+    rho = min over the matrices of min(10, -0.99 * ln spectral_radius(M)),
+
+or 10 for a nilpotent matrix; the 0.99 backs rho off the asymptotic rate so
+that tau stays finite.  Then each matrix gets one power scan at that shared
+rho, walking k = 0, 1, 2, ... until ||M^k|| <= 1e-12, and tau is the largest
+||M^k|| e^{rho k} seen, so the invariant holds by construction for every power
+inspected.  A scan that reaches power 10 000 with ||M^k|| still above 1e-12
+raises :class:`NoConvergence`.  All norms here and elsewhere in the package
+are spectral (operator-2) norms.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import AsymmetricMatrix, DimensionMismatch, NotPositiveDefinite, Unstable
+from .exceptions import AsymmetricMatrix, DimensionMismatch, NoConvergence, NotPositiveDefinite, Unstable
 
 __all__ = [
     "LQRSystem",
@@ -42,7 +51,11 @@ __all__ = [
 # Relative asymmetry allowed in Q and R before ingestion refuses to symmetrize.
 SYMMETRY_RTOL = 1e-10
 
-# Power scan: stop once ||M^k|| falls below this, never scan past the cap.
+# Certificate rate: rho = min(_RHO_CAP, -_RHO_SHRINK * ln spectral_radius).
+_RHO_CAP = 10.0
+_RHO_SHRINK = 0.99
+
+# Power scan: stop once ||M^k|| falls below the floor; reaching the cap raises.
 _SCAN_FLOOR = 1e-12
 _SCAN_CAP = 10000
 
@@ -181,8 +194,11 @@ def spectral_radius(M) -> float:
 class StabilityCertificate:
     """A pair (tau, rho) with ||M^k|| <= tau * exp(-rho*k) for k = 0..k_max.
 
-    tau >= 1 always (k = 0 forces it).  ``k_max`` records how far the power
-    scan that issued the certificate actually looked.
+    rho = min(10, -0.99 * ln spectral_radius) over the certified matrices; tau
+    is the largest ||M^k|| e^{rho k} over one power scan per matrix at that
+    rho, so tau >= 1 always (k = 0 forces it).  ``k_max`` is the largest power
+    a scan reached before ||M^k|| fell to 1e-12 (a scan that would pass 10 000
+    raises :class:`NoConvergence` instead).
     """
 
     tau: float
@@ -200,68 +216,49 @@ class StabilityCertificate:
         return self.tau * float(np.exp(-self.rho * k))
 
 
-def _scan_tau(matrices, rho: float) -> tuple[float, int]:
-    """tau = max_k max_M ||M^k|| e^{rho k}, scanning until every power decays.
-
-    The scan walks k = 0, 1, 2, ... simultaneously for all matrices in
-    ``matrices`` and stops once every ||M^k|| <= 1e-12 (or at the cap).  The
-    returned tau makes the certificate invariant true for every k visited.
-    """
-    powers = [np.eye(M.shape[0]) for M in matrices]
-    alive = [True] * len(matrices)
-    tau = 1.0
-    k = 0
-    while any(alive) and k <= _SCAN_CAP:
-        growth = float(np.exp(rho * k))
-        for i, M in enumerate(matrices):
-            if not alive[i]:
-                continue
-            nrm = spectral_norm(powers[i])
-            tau = max(tau, nrm * growth)
+def _certify(matrices) -> StabilityCertificate:
+    """One certificate for every matrix in ``matrices``: shared rho, one scan each."""
+    matrices = [np.atleast_2d(np.asarray(M, dtype=float)) for M in matrices]
+    rho = _RHO_CAP
+    for M in matrices:
+        sr = spectral_radius(M)
+        if sr >= 1.0:
+            raise Unstable(f"spectral radius {sr:.6g} >= 1; no decay certificate exists")
+        if sr > 0.0:
+            rho = min(rho, -_RHO_SHRINK * float(np.log(sr)))
+    tau, k_max = 1.0, 0
+    for M in matrices:
+        power = np.eye(M.shape[0])
+        for k in range(_SCAN_CAP + 1):
+            nrm = spectral_norm(power)
+            tau = max(tau, nrm * float(np.exp(rho * k)))
             if nrm <= _SCAN_FLOOR:
-                alive[i] = False
-            else:
-                powers[i] = powers[i] @ M
-        k += 1
-    return tau, k - 1
+                break
+            power = power @ M
+        else:
+            raise NoConvergence(
+                f"power scan reached k = {_SCAN_CAP} with ||M^k|| = {nrm:.3e} > {_SCAN_FLOOR:.0e}"
+            )
+        k_max = max(k_max, k)
+    return StabilityCertificate(tau=tau, rho=rho, k_max=k_max)
 
 
-def estimate_certificate(M, rho_cap: float = 10.0, shrink: float = 0.99) -> StabilityCertificate:
-    """Construct a (tau, rho) certificate for a stable matrix M.
-
-    rho = min(rho_cap, -shrink * ln(spectral_radius(M))), with shrink in (0,1)
-    backing rho off the asymptotic rate so that tau stays finite; tau comes
-    from an exhaustive power scan.  rho_cap covers nilpotent matrices, where
-    the log diverges.
+def estimate_certificate(M) -> StabilityCertificate:
+    """A (tau, rho) certificate for one stable matrix M.
 
     Raises :class:`Unstable` when the spectral radius is >= 1 (certificates do
-    not exist; use the prestabilize module first).
+    not exist; use the prestabilize module first) and :class:`NoConvergence`
+    when the power scan reaches 10 000 powers without decaying to 1e-12.
     """
-    if not 0.0 < shrink < 1.0:
-        raise ValueError(f"shrink must lie in (0, 1), got {shrink}")
-    if rho_cap <= 0.0:
-        raise ValueError(f"rho_cap must be positive, got {rho_cap}")
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    sr = spectral_radius(M)
-    if sr >= 1.0:
-        raise Unstable(f"spectral radius {sr:.6g} >= 1; no decay certificate exists")
-    rho = rho_cap if sr == 0.0 else min(rho_cap, -shrink * float(np.log(sr)))
-    tau, k_max = _scan_tau([M], rho)
-    return StabilityCertificate(tau=tau, rho=rho, k_max=k_max)
+    return _certify([M])
 
 
-def joint_certificate(A, A_cl, rho_cap: float = 10.0, shrink: float = 0.99) -> StabilityCertificate:
+def joint_certificate(A, A_cl) -> StabilityCertificate:
     """A single certificate valid for both A and A_cl.
 
-    rho is the smaller of the two individual rates; tau is the max over both
-    power scans at that common rho.  Used by the bounds module, which needs
-    one (tau, rho) pair covering the open and closed loop simultaneously.
+    rho is the smaller of the two individual rates; tau is the max over one
+    power scan of each matrix at that common rho.  Used by the bounds module,
+    which needs one (tau, rho) pair covering the open and closed loop
+    simultaneously.  Raises like :func:`estimate_certificate`.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    A_cl = np.atleast_2d(np.asarray(A_cl, dtype=float))
-    rho = min(
-        estimate_certificate(A, rho_cap=rho_cap, shrink=shrink).rho,
-        estimate_certificate(A_cl, rho_cap=rho_cap, shrink=shrink).rho,
-    )
-    tau, k_max = _scan_tau([A, A_cl], rho)
-    return StabilityCertificate(tau=tau, rho=rho, k_max=k_max)
+    return _certify([A, A_cl])

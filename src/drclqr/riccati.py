@@ -25,7 +25,7 @@ import scipy.linalg
 from .exceptions import NoConvergence, SingularInnerSolve
 from .model import LQRSystem, spectral_norm
 
-__all__ = ["RiccatiSolution", "solve_dare", "dare_residual", "gain_from_value"]
+__all__ = ["RiccatiSolution", "solve_dare", "dare_residual"]
 
 
 @dataclass(frozen=True)
@@ -95,11 +95,3 @@ def dare_residual(P, sys: LQRSystem) -> float:
     P = np.atleast_2d(np.asarray(P, dtype=float))
     P_next, _ = _dare_step(sys, P)
     return spectral_norm(P_next - P)
-
-
-def gain_from_value(sys: LQRSystem, P) -> np.ndarray:
-    """K = -(R + B'PB)^{-1} (B'PA + S) for an externally supplied P."""
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    _, K = _dare_step(sys, P)
-    return K
-

@@ -4,9 +4,10 @@ Everything here deliberately takes a different computational route from the
 package: value iteration instead of the fixed-point DARE solver, Kronecker
 and plain series summation instead of the Schur solver, brute-force tail
 summation instead of the Sylvester closed form, power growth instead of
-eigenvalues, the O(H^2)-block direct formulas instead of the block-Toeplitz
-assembly, a per-step rollout instead of the blocked one.  Slow is fine;
-independent is the point.
+eigenvalues, fresh matrix powers instead of a running product, the
+O(H^2)-block direct formulas instead of the block-Toeplitz assembly, a
+per-step rollout instead of the blocked one.  Slow is fine; independent is
+the point.
 """
 
 import numpy as np
@@ -149,6 +150,32 @@ def power_growth_radius(M, k=2000):
     """||M^k||^{1/k}: converges to the spectral radius from the norm side."""
     P = np.linalg.matrix_power(M, k)
     return float(np.linalg.norm(P, 2) ** (1.0 / k))
+
+
+def scan_certificate(matrices, floor=1e-12, cap=10000):
+    """Brute-force joint certificate: returns (tau, rho, k_max).
+
+    rho = min over the matrices of min(10, -0.99 ln r), r the largest
+    eigenvalue modulus; then every power M^k is formed from scratch by
+    np.linalg.matrix_power and its norm read as the top singular value, until
+    it falls to ``floor``.  tau = max ||M^k|| e^{rho k} over all of them and
+    k_max is the largest stopping power.
+    """
+    matrices = [np.atleast_2d(np.asarray(M, dtype=float)) for M in matrices]
+    rho = 10.0
+    for M in matrices:
+        r = float(np.max(np.abs(np.linalg.eigvals(M))))
+        if r > 0.0:
+            rho = min(rho, -0.99 * float(np.log(r)))
+    tau, k_max = 1.0, 0
+    for M in matrices:
+        for k in range(cap + 1):
+            nrm = float(np.linalg.svd(np.linalg.matrix_power(M, k), compute_uv=False)[0])
+            tau = max(tau, nrm * float(np.exp(rho * k)))
+            if nrm <= floor:
+                break
+        k_max = max(k_max, k)
+    return tau, rho, k_max
 
 
 def random_system(rng, n_max=6, m_max=3, sr_range=(0.285, 0.95), margin=0.1):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import default_rng
 
 import drclqr as d
-from oracles import power_growth_radius, random_system
+from oracles import power_growth_radius, random_system, scan_certificate
 
 
 def scalar_system(a=0.5, b=1.0, q=1.0, r=1.0, s=0.0):
@@ -120,11 +122,13 @@ class TestEstimateCertificate:
         with pytest.raises(d.Unstable):
             d.estimate_certificate([[1.5]])
 
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            d.estimate_certificate([[0.5]], shrink=1.0)
-        with pytest.raises(ValueError):
-            d.estimate_certificate([[0.5]], rho_cap=0.0)
+    @pytest.mark.parametrize("M", [[[0.999]], 0.999 * np.eye(6) + np.eye(6, k=1)], ids=["scalar", "jordan6"])
+    def test_scan_cap_raises(self, M):
+        # ||M^k|| is still far above 1e-12 at the 10 000th power for both
+        with pytest.raises(d.NoConvergence, match="k = 10000"):
+            d.estimate_certificate(M)
+        with pytest.raises(d.NoConvergence):
+            d.joint_certificate([[0.5]], M)
 
 
 class TestJointCertificate:
@@ -150,3 +154,38 @@ class TestJointCertificate:
     def test_unstable_member_rejected(self):
         with pytest.raises(d.Unstable):
             d.joint_certificate([[0.5]], [[1.01]])
+
+
+@st.composite
+def certifiable_matrices(draw):
+    """A random matrix with spectral radius up to 0.99, a 6x6 Jordan block
+    with eigenvalue 0.9 or 0.99, or an exactly nilpotent matrix."""
+    rng = default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "jordan", "nilpotent"]))
+    if kind == "jordan":
+        lam = draw(st.sampled_from([0.9, 0.99]))
+        return lam * np.eye(6) + np.eye(6, k=1)
+    n = draw(st.integers(1, 6))
+    if kind == "nilpotent":
+        # strictly upper triangular, relabelled by a permutation: powers vanish exactly
+        perm = rng.permutation(n)
+        return np.triu(rng.normal(size=(n, n)), k=1)[np.ix_(perm, perm)]
+    M = rng.normal(size=(n, n))
+    return M * (draw(st.floats(0.01, 0.99)) / d.spectral_radius(M))
+
+
+class TestCertificateOracle:
+    @settings(max_examples=50, deadline=None)
+    @given(A=certifiable_matrices(), A_cl=certifiable_matrices())
+    def test_joint_certificate_matches_brute_force(self, A, A_cl):
+        cert = d.joint_certificate(A, A_cl)
+        tau, rho, k_max = scan_certificate([A, A_cl])
+        assert cert.rho == rho
+        assert cert.tau == pytest.approx(tau, rel=1e-9)
+        assert abs(cert.k_max - k_max) <= 1
+        envelope = np.array([cert.decay(k) for k in range(cert.k_max + 1)])
+        for M in (A, A_cl):
+            powers = [np.eye(M.shape[0])]
+            for _ in range(cert.k_max):
+                powers.append(powers[-1] @ M)
+            assert np.all(np.linalg.norm(np.stack(powers), 2, axis=(1, 2)) <= envelope + 1e-12)
