@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds as bounds_mod
-from .cost import cost_of_drc, cost_of_gain, simulate
+from .cost import cost_of_drc, cost_of_gain, drc_state_covariance, simulate
 from .drc import DRCPolicy, assemble, solve_drc, solve_drc_orders
 from .exceptions import DimensionMismatch, DrclqrError, ParseError, Unstable
 from .lyapunov import gramian
@@ -207,10 +207,12 @@ def run_sweep(sys_: LQRSystem, H_max: int, K0=None, tol: float = 1e-12) -> Sweep
         raise Unstable("A has spectral radius >= 1; a pre-stabilizing K0 is required")
 
     sol = solve_dare(work, tol=tol)
-    log.info("DARE solved: %d iterations, residual %.3e", sol.iterations, sol.residual_norm)
+    log.info("DARE solved: %d doubling steps, residual %.3e", sol.iterations, sol.residual_norm)
     G = gramian(work.A, work.Q)
     cert = joint_certificate(work.A, work.A + work.B @ sol.K)
-    log.info("joint certificate: tau=%.6g rho=%.6g (k_max=%d)", cert.tau, cert.rho, cert.k_max)
+    log.info(
+        "joint certificate: tau=%.6g rho=%.6g (method=%s, k_max=%d)", cert.tau, cert.rho, cert.method, cert.k_max
+    )
     inp = bounds_mod.BoundInputs.from_system(work, sol.K, cert)
     opt_cost = sol.trace_P
 
@@ -261,7 +263,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("system", help="path to a JSON system file")
         sp.add_argument("--lax", action="store_true", help="ignore unknown keys in the system file")
         if dare:
-            sp.add_argument("--tol", type=float, default=1e-12, help="DARE tolerance (default 1e-12)")
+            sp.add_argument(
+                "--tol", type=float, default=1e-12, help="relative accuracy target of the DARE solution (default 1e-12)"
+            )
 
     sp = sub.add_parser("validate", help="check the standing positive-definiteness assumption")
     add_common(sp)
@@ -386,11 +390,14 @@ def _cmd_witness(args) -> int:
     rng = np.random.default_rng(args.seed)
     policy = DRCPolicy(blocks=tuple(rng.uniform(-1.0, 1.0, (1, args.n)) for _ in range(args.h)))
     lower, holds = bounds_mod.instability_witness(args.n, args.h, policy, args.t)
+    cov = drc_state_covariance(bounds_mod.witness_plant(args.n), policy, args.t + 1)
     print(f"n= {args.n}")
     print(f"H= {args.h}")
     print(f"t= {args.t}")
     print(f"lower_bound_trace= {_fmt(np.trace(lower))}")
     print(f"holds= {str(holds).lower()}")
+    # diagnostic only: full PSD domination of the covariance is not claimed
+    print(f"lambda_min_cov_minus_bound= {_fmt(np.linalg.eigvalsh(cov - lower)[0])}")
     return 0
 
 

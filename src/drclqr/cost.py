@@ -184,19 +184,18 @@ def _states(x0: np.ndarray, d: np.ndarray, powers_T: np.ndarray) -> np.ndarray:
     return np.vstack((x.reshape(-1, n), starts[chunks]))[: m + 1]
 
 
-def _batch_means_error(costs: np.ndarray) -> float:
-    """Standard error of the mean of autocorrelated costs, by batch means.
+def _batch_layout(n: int) -> tuple[int, int]:
+    """(batches, batch length) of the batch-means error over n costs.
 
     floor(sqrt(n)) (at least two) consecutive batches of n // b costs; the
     spread of their means is honest once a batch outlasts the correlation
-    time, where std / sqrt(n) would treat every step as independent.
+    time, where std / sqrt(n) would treat every step as independent.  The
+    n - b (n // b) costs past the last full batch count toward the mean only.
+    A single cost has no error to estimate; the length stays at least one so
+    that batch indices are defined.
     """
-    n = costs.size
-    if n <= 1:
-        return 0.0
     b = max(int(np.sqrt(n)), 2)
-    means = costs[: b * (n // b)].reshape(b, -1).mean(axis=1)
-    return float(np.std(means, ddof=1) / np.sqrt(b))
+    return b, max(n // b, 1)
 
 
 def simulate(sys: LQRSystem, controller, steps: int, burn_in: int = 1000, seed: int = 0) -> CostReport:
@@ -205,7 +204,8 @@ def simulate(sys: LQRSystem, controller, steps: int, burn_in: int = 1000, seed: 
     Rolls x_{t+1} = A x_t + B u_t + w_t from x_0 = 0 with the counter-based
     noise of :func:`disturbance`; the reported value is the mean stage cost
     over t in [burn_in, steps) and std_error its batch-means standard error
-    (floor(sqrt(n)) batches over the n costs of that window).  Gain
+    (floor(sqrt(n)) batches over the n costs of that window, summed block by
+    block, so memory does not grow with ``steps``).  Gain
     controllers must be stabilizing (the estimate is meaningless otherwise);
     a DRC on an unstable plant is allowed to run and diverge, surfacing as
     :class:`NonFinite` with the step whose update produced the first state
@@ -240,7 +240,10 @@ def simulate(sys: LQRSystem, controller, steps: int, burn_in: int = 1000, seed: 
 
     weight = np.block([[sys.Q, sys.S.T], [sys.S, sys.R]])  # stage cost z'Wz, z = [x; u]
     x = np.zeros(n_x)
-    costs = np.empty(steps - burn_in)
+    n = steps - burn_in
+    batches, length = _batch_layout(n)
+    batch_sums = np.zeros(batches)
+    total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         powers = [np.eye(n_x)]
         for _ in range(_CHUNK):
@@ -265,8 +268,18 @@ def simulate(sys: LQRSystem, controller, steps: int, burn_in: int = 1000, seed: 
             lo = max(burn_in - t0, 0)
             if lo < m:
                 z = np.hstack((xs[lo:m], xs[lo:m] @ gain.T if gain is not None else u[lo:m]))
-                costs[t0 + lo - burn_in : t0 + m - burn_in] = np.einsum("ij,ij->i", z @ weight, z)
-    return CostReport(value=float(np.mean(costs)), method="monte_carlo", std_error=_batch_means_error(costs))
+                costs = np.einsum("ij,ij->i", z @ weight, z)
+                total += float(np.sum(costs))
+                g0 = t0 + lo - burn_in  # index of costs[0] among all n costs
+                first, stop = g0 // length, min(-(-(g0 + costs.size) // length), batches)
+                if first < stop:  # batches [first, stop) meet this block
+                    starts = np.maximum(np.arange(first, stop) * length - g0, 0)
+                    end = min(stop * length - g0, costs.size)
+                    batch_sums[first:stop] += np.add.reduceat(costs[:end], starts)
+    std_error = 0.0
+    if n > 1:
+        std_error = float(np.std(batch_sums / length, ddof=1) / np.sqrt(batches))
+    return CostReport(value=total / n, method="monte_carlo", std_error=std_error)
 
 
 def drc_state_covariance(sys: LQRSystem, policy: DRCPolicy, t: int) -> np.ndarray:

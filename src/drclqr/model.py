@@ -14,24 +14,39 @@ standing assumption everywhere in this package is that the joint weight block
 is positive definite, which is what :func:`validate_system` checks.
 
 The second object is :class:`StabilityCertificate`, a constructive pair
-(tau, rho) witnessing the exponential decay ||M^k|| <= tau * exp(-rho*k) of
-one stable matrix (:func:`estimate_certificate`) or of the open and closed
-loop together (:func:`joint_certificate`).  The rate is chosen first:
+(tau, rho) witnessing the exponential decay ||M^k|| <= tau * exp(-rho*k), for
+every k >= 0, of one stable matrix (:func:`estimate_certificate`) or of the
+open and closed loop together (:func:`joint_certificate`).  The rate is chosen
+first:
 
     rho = min over the matrices of min(10, -0.99 * ln spectral_radius(M)),
 
 or 10 for a nilpotent matrix; the 0.99 backs rho off the asymptotic rate so
 that tau stays finite.  Then each matrix gets one power scan at that shared
-rho, walking k = 0, 1, 2, ... until ||M^k|| <= 1e-12, and tau is the largest
-||M^k|| e^{rho k} seen, so the invariant holds by construction for every power
-inspected.  A scan that reaches power 10 000 with ||M^k|| still above 1e-12
-raises :class:`NoConvergence`.  All norms here and elsewhere in the package
-are spectral (operator-2) norms.
+rho, which stops at the first power m >= 1 with ||M^m|| e^{rho m} <= 1, and
+tau is the largest ||M^k|| e^{rho k} over k < m.  Writing k = q m + j with
+j < m, submultiplicativity gives ||M^k|| <= ||M^m||^q ||M^j|| <= tau e^{-rho k},
+so the envelope holds for every power, not only the ones scanned.
+
+A scan that finds no such m within 10 000 powers (Jordan blocks and other
+near-defective matrices, whose transient outlasts the 1% rate slack), or whose
+powers sink into the floating-point underflow range first, falls back to the
+strong-stability certificate of Cohen et al. (2018): with
+gamma = r + (1 - r)/2, r the spectral radius, P solves
+(M/gamma)' P (M/gamma) + I = P, and
+
+    tau = sqrt(cond(P)),   rho = -ln(gamma * sqrt(1 - 1/lambda_max(P))).
+
+The joint rate is then the smallest over all matrices, and every scanned
+matrix's tau is re-read from its stored norms at that rate (its scan still
+closes at the same m).  The certificate records which route was taken in
+``method``.  All norms here and elsewhere in the package are spectral
+(operator-2) norms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,9 +70,19 @@ SYMMETRY_RTOL = 1e-10
 _RHO_CAP = 10.0
 _RHO_SHRINK = 0.99
 
-# Power scan: stop once ||M^k|| falls below the floor; reaching the cap raises.
-_SCAN_FLOOR = 1e-12
+# Power scan: at most _SCAN_CAP powers, formed in batches that double from one
+# power up to _SCAN_BATCH_MAX, so at most half the singular values a scan
+# takes lie past its certifying power.  Once every entry of M^k is below
+# _SCAN_UNDERFLOW, entries that matter at working precision can be subnormal
+# and the scan can no longer certify anything.
 _SCAN_CAP = 10000
+_SCAN_BATCH_MAX = 256
+_SCAN_UNDERFLOW = float(np.finfo(float).tiny / np.finfo(float).eps)
+
+# Lyapunov fallback: gamma = r + _LYAPUNOV_SLACK * (1 - r).
+_LYAPUNOV_SLACK = 0.5
+
+CERTIFICATE_METHODS = ("scan", "lyapunov")
 
 
 def spectral_norm(M) -> float:
@@ -192,63 +217,131 @@ def spectral_radius(M) -> float:
 
 @dataclass(frozen=True)
 class StabilityCertificate:
-    """A pair (tau, rho) with ||M^k|| <= tau * exp(-rho*k) for k = 0..k_max.
+    """A pair (tau, rho) with ||M^k|| <= tau * exp(-rho*k) for every k >= 0.
 
-    rho = min(10, -0.99 * ln spectral_radius) over the certified matrices; tau
-    is the largest ||M^k|| e^{rho k} over one power scan per matrix at that
-    rho, so tau >= 1 always (k = 0 forces it).  ``k_max`` is the largest power
-    a scan reached before ||M^k|| fell to 1e-12 (a scan that would pass 10 000
-    raises :class:`NoConvergence` instead).
+    ``method`` says how it was obtained.  ``"scan"``: rho = min(10, -0.99 *
+    ln spectral_radius) over the certified matrices, and tau is the largest
+    ||M^k|| e^{rho k} over k < m, where m is each matrix's certifying power,
+    the first m >= 1 with ||M^m|| e^{rho m} <= 1.  ``"lyapunov"``: at least
+    one matrix had no certifying power within 10 000 and got the Lyapunov
+    certificate instead; rho is then also capped by its rate and tau covers
+    its sqrt(cond(P)).  ``k_max`` is the largest certifying power over the
+    scanned matrices (0 when none closed).  tau >= 1 always (k = 0 forces it).
     """
 
     tau: float
     rho: float
     k_max: int
+    method: str = "scan"
 
     def __post_init__(self):
         if self.tau < 1.0:
             raise ValueError(f"tau must be >= 1, got {self.tau}")
         if self.rho <= 0.0:
             raise ValueError(f"rho must be > 0, got {self.rho}")
+        if self.method not in CERTIFICATE_METHODS:
+            raise ValueError(f"unknown method {self.method!r}, expected one of {CERTIFICATE_METHODS}")
 
     def decay(self, k: int) -> float:
         """The certified envelope tau * exp(-rho*k)."""
         return self.tau * float(np.exp(-self.rho * k))
 
 
+def _powers(M: np.ndarray, start: np.ndarray, count: int) -> np.ndarray:
+    """The running products start M, start M^2, ..., start M^count, stacked."""
+    block = np.empty((count,) + M.shape)
+    for i in range(count):
+        start = start @ M
+        block[i] = start
+    return block
+
+
+def _scan_norms(M: np.ndarray, rho: float):
+    """||M^k|| for k < m, m the first power >= 1 with ||M^m|| e^{rho m} <= 1.
+
+    Returns None when there is no such m <= _SCAN_CAP, or when every entry of
+    a power sinks below _SCAN_UNDERFLOW first (an exactly zero power still
+    certifies: the matrix is nilpotent).  The largest entry of a power bounds
+    its norm from below, so a batch of powers needs singular values only once
+    one of them might certify; the batches skipped that way are formed again
+    from their stored start once m is known.
+    """
+    power = np.eye(M.shape[0])
+    k, batch, batches = 0, 1, []
+    while k < _SCAN_CAP:
+        batch = min(batch, _SCAN_CAP - k)
+        block = _powers(M, power, batch)
+        top = np.abs(block).max(axis=(1, 2))
+        envelope = np.exp(-rho * np.arange(k + 1, k + batch + 1))
+        sunk = (top > 0.0) & (top < _SCAN_UNDERFLOW)
+        norms, closed = None, np.zeros(batch, dtype=bool)
+        if np.any(top <= envelope):
+            norms = np.linalg.norm(block, 2, axis=(1, 2))
+            closed = norms <= envelope
+        batches.append((power, batch, norms))
+        if np.any(sunk | closed):
+            i = int(np.argmax(sunk | closed))
+            if sunk[i]:
+                return None
+            scanned = [np.ones(1)]
+            for start, count, norms in batches:
+                scanned.append(np.linalg.norm(_powers(M, start, count), 2, axis=(1, 2)) if norms is None else norms)
+            return np.concatenate(scanned)[: k + i + 1]
+        power = block[-1]
+        k += batch
+        batch = min(2 * batch, _SCAN_BATCH_MAX)
+    return None
+
+
+def _lyapunov_certificate(M: np.ndarray, radius: float) -> tuple[float, float]:
+    """(tau, rho) from P = (M/gamma)' P (M/gamma) + I, gamma = r + (1 - r)/2.
+
+    M'PM = gamma^2 (P - I) <= q^2 P with q = gamma sqrt(1 - 1/lambda_max(P)),
+    so M contracts the P-norm by q and ||M^k|| <= sqrt(cond(P)) q^k.
+    """
+    from .lyapunov import solve_dsylvester  # lyapunov imports this module
+
+    gamma = radius + _LYAPUNOV_SLACK * (1.0 - radius)
+    P = solve_dsylvester(M / gamma, M / gamma, np.eye(M.shape[0]))
+    eig = np.linalg.eigvalsh((P + P.T) / 2.0)
+    if not (np.all(np.isfinite(eig)) and eig[0] > 0.0):
+        raise NoConvergence(
+            f"power scan found no certifying power within {_SCAN_CAP} and the Lyapunov "
+            f"fallback is not positive definite (lambda_min = {eig[0]:.3e})"
+        )
+    return float(np.sqrt(eig[-1] / eig[0])), -float(np.log(gamma * np.sqrt(1.0 - 1.0 / eig[-1])))
+
+
 def _certify(matrices) -> StabilityCertificate:
     """One certificate for every matrix in ``matrices``: shared rho, one scan each."""
     matrices = [np.atleast_2d(np.asarray(M, dtype=float)) for M in matrices]
-    rho = _RHO_CAP
+    rho, radii = _RHO_CAP, []
     for M in matrices:
         sr = spectral_radius(M)
         if sr >= 1.0:
             raise Unstable(f"spectral radius {sr:.6g} >= 1; no decay certificate exists")
         if sr > 0.0:
             rho = min(rho, -_RHO_SHRINK * float(np.log(sr)))
-    tau, k_max = 1.0, 0
-    for M in matrices:
-        power = np.eye(M.shape[0])
-        for k in range(_SCAN_CAP + 1):
-            nrm = spectral_norm(power)
-            tau = max(tau, nrm * float(np.exp(rho * k)))
-            if nrm <= _SCAN_FLOOR:
-                break
-            power = power @ M
-        else:
-            raise NoConvergence(
-                f"power scan reached k = {_SCAN_CAP} with ||M^k|| = {nrm:.3e} > {_SCAN_FLOOR:.0e}"
-            )
-        k_max = max(k_max, k)
-    return StabilityCertificate(tau=tau, rho=rho, k_max=k_max)
+        radii.append(sr)
+    scans = [_scan_norms(M, rho) for M in matrices]
+    fallback = [_lyapunov_certificate(M, sr) for M, sr, norms in zip(matrices, radii, scans) if norms is None]
+    rho = min([rho] + [r for _, r in fallback])
+    tau = max(
+        [1.0]
+        + [t for t, _ in fallback]
+        + [float(np.max(norms * np.exp(rho * np.arange(norms.size)))) for norms in scans if norms is not None]
+    )
+    k_max = max([0] + [norms.size for norms in scans if norms is not None])
+    return StabilityCertificate(tau=tau, rho=rho, k_max=k_max, method="lyapunov" if fallback else "scan")
 
 
 def estimate_certificate(M) -> StabilityCertificate:
     """A (tau, rho) certificate for one stable matrix M.
 
     Raises :class:`Unstable` when the spectral radius is >= 1 (certificates do
-    not exist; use the prestabilize module first) and :class:`NoConvergence`
-    when the power scan reaches 10 000 powers without decaying to 1e-12.
+    not exist; use the prestabilize module first).  A matrix whose power scan
+    does not close within 10 000 powers gets the Lyapunov certificate
+    (``method == "lyapunov"``).
     """
     return _certify([M])
 
@@ -256,8 +349,9 @@ def estimate_certificate(M) -> StabilityCertificate:
 def joint_certificate(A, A_cl) -> StabilityCertificate:
     """A single certificate valid for both A and A_cl.
 
-    rho is the smaller of the two individual rates; tau is the max over one
-    power scan of each matrix at that common rho.  Used by the bounds module,
+    rho is the smaller of the two individual rates (or of a Lyapunov
+    fallback's rate); tau is the max over one power scan of each matrix at
+    that common rho.  Used by the bounds module,
     which needs one (tau, rho) pair covering the open and closed loop
     simultaneously.  Raises like :func:`estimate_certificate`.
     """

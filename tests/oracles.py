@@ -1,16 +1,17 @@
 """Independent oracles the tests compare production code against.
 
 Everything here deliberately takes a different computational route from the
-package: value iteration instead of the fixed-point DARE solver, Kronecker
-and plain series summation instead of the Schur solver, brute-force tail
-summation instead of the Sylvester closed form, power growth instead of
-eigenvalues, fresh matrix powers instead of a running product, the
+package: value iteration and scipy's QZ solver instead of the doubling DARE
+solver, Kronecker and plain series summation instead of the Schur solver,
+brute-force tail summation instead of the Sylvester closed form, power growth
+instead of eigenvalues, fresh matrix powers instead of a running product, the
 O(H^2)-block direct formulas instead of the block-Toeplitz assembly, a
 per-step rollout instead of the blocked one.  Slow is fine; independent is
 the point.
 """
 
 import numpy as np
+import scipy.linalg
 
 from drclqr import (
     CostReport,
@@ -152,14 +153,31 @@ def power_growth_radius(M, k=2000):
     return float(np.linalg.norm(P, 2) ** (1.0 / k))
 
 
-def scan_certificate(matrices, floor=1e-12, cap=10000):
-    """Brute-force joint certificate: returns (tau, rho, k_max).
+def scipy_dare(sys_):
+    """Stabilizing DARE solution from scipy, refined by one Newton step.
+
+    scipy.linalg.solve_discrete_are (a QZ route) alone can sit a few 1e-12
+    relative off on near-marginal plants; one Newton (Hewer) step, the cost
+    of its gain through scipy.linalg.solve_discrete_lyapunov, brings it to
+    round-off level.
+    """
+    P = scipy.linalg.solve_discrete_are(sys_.A, sys_.B, sys_.Q, sys_.R, s=sys_.S.T)
+    K = -np.linalg.solve(sys_.R + sys_.B.T @ P @ sys_.B, sys_.B.T @ P @ sys_.A + sys_.S)
+    F = sys_.A + sys_.B @ K
+    W = sys_.Q + K.T @ sys_.R @ K + sys_.S.T @ K + K.T @ sys_.S
+    P = scipy.linalg.solve_discrete_lyapunov(F.T, W)
+    return (P + P.T) / 2.0
+
+
+def scan_certificate(matrices, cap=10000):
+    """Brute-force joint certificate: returns (tau, rho, k_max), or None.
 
     rho = min over the matrices of min(10, -0.99 ln r), r the largest
     eigenvalue modulus; then every power M^k is formed from scratch by
-    np.linalg.matrix_power and its norm read as the top singular value, until
-    it falls to ``floor``.  tau = max ||M^k|| e^{rho k} over all of them and
-    k_max is the largest stopping power.
+    np.linalg.matrix_power and its norm read as the top singular value, up to
+    the first m >= 1 with ||M^m|| e^{rho m} <= 1.  tau = max ||M^k|| e^{rho k}
+    over k < m of every matrix and k_max is the largest m.  None when some
+    matrix has no such m <= cap.
     """
     matrices = [np.atleast_2d(np.asarray(M, dtype=float)) for M in matrices]
     rho = 10.0
@@ -169,13 +187,43 @@ def scan_certificate(matrices, floor=1e-12, cap=10000):
             rho = min(rho, -0.99 * float(np.log(r)))
     tau, k_max = 1.0, 0
     for M in matrices:
-        for k in range(cap + 1):
-            nrm = float(np.linalg.svd(np.linalg.matrix_power(M, k), compute_uv=False)[0])
-            tau = max(tau, nrm * float(np.exp(rho * k)))
-            if nrm <= floor:
+        for m in range(1, cap + 1):
+            nrm = float(np.linalg.svd(np.linalg.matrix_power(M, m), compute_uv=False)[0])
+            if nrm * float(np.exp(rho * m)) <= 1.0:
                 break
-        k_max = max(k_max, k)
+            tau = max(tau, nrm * float(np.exp(rho * m)))
+        else:
+            return None
+        k_max = max(k_max, m)
     return tau, rho, k_max
+
+
+def assert_envelope(cert, M, tol=1e-9):
+    """||M^k|| <= tau e^{-rho k} at every k <= max(4 k_max, 2000) and at M^(2^j), j <= 14.
+
+    Compared in log space; powers whose largest entry has left the normal
+    floating-point range are skipped, since a subnormal product no longer
+    tracks the true power.  n times the largest entry bounds the norm from
+    above, so singular values are computed only where that bound is not
+    enough.
+    """
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    K = max(4 * cert.k_max, 2000)
+    powers = [np.eye(M.shape[0])]
+    for _ in range(K):
+        powers.append(powers[-1] @ M)
+    squares = [M]
+    for _ in range(14):
+        squares.append(squares[-1] @ squares[-1])
+    powers = np.stack(powers + squares)
+    ks = np.concatenate((np.arange(K + 1), 2.0 ** np.arange(15)))
+    top = np.abs(powers).max(axis=(1, 2))
+    normal = top >= np.finfo(float).tiny
+    log_envelope = np.log(cert.tau) - cert.rho * ks[normal] + tol
+    loose = np.log(M.shape[0] * top[normal]) > log_envelope
+    norms = np.linalg.norm(powers[normal][loose], 2, axis=(1, 2))
+    excess = np.log(norms) - log_envelope[loose]
+    assert np.all(excess <= 0.0), f"envelope broken at k = {ks[normal][loose][np.argmax(excess)]:g}"
 
 
 def random_system(rng, n_max=6, m_max=3, sr_range=(0.285, 0.95), margin=0.1):
@@ -218,7 +266,8 @@ def loop_simulate(sys: LQRSystem, controller, steps: int, burn_in: int = 1000, s
 
     Draws step t's noise from ``disturbance(seed, t, n_x)``, keeps the DRC's
     disturbance history as a shifting vector and checks the state after every
-    update.  Its ``std_error`` is the naive i.i.d. one, std / sqrt(n).
+    update.  It stores every cost and takes ``std_error`` from the stored
+    array: floor(sqrt(n)) (at least two) batches of n // b consecutive costs.
     """
     if burn_in < 0 or steps <= burn_in:
         raise ValueError(f"need steps > burn_in >= 0, got steps={steps}, burn_in={burn_in}")
@@ -255,6 +304,9 @@ def loop_simulate(sys: LQRSystem, controller, steps: int, burn_in: int = 1000, s
         if gain is None:
             hist = np.concatenate((w, hist[: (H - 1) * n_x])) if H > 1 else w
     n = costs.size
-    value = float(np.mean(costs))
-    std_error = float(np.std(costs, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return CostReport(value=value, method="monte_carlo", std_error=std_error)
+    std_error = 0.0
+    if n > 1:
+        b = max(int(np.sqrt(n)), 2)
+        means = costs[: b * (n // b)].reshape(b, -1).mean(axis=1)
+        std_error = float(np.std(means, ddof=1) / np.sqrt(b))
+    return CostReport(value=float(np.mean(costs)), method="monte_carlo", std_error=std_error)

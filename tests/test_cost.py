@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -140,6 +141,7 @@ class TestSimulate:
         rep = d.simulate(sys_, controller, steps=steps, burn_in=burn_in, seed=4)
         ref = loop_simulate(sys_, controller, steps=steps, burn_in=burn_in, seed=4)
         assert rep.value == pytest.approx(ref.value, rel=1e-10)
+        assert rep.std_error == pytest.approx(ref.std_error, rel=1e-10)
 
     @pytest.mark.parametrize(
         "sys_, H",
@@ -170,6 +172,18 @@ class TestSimulate:
         spread = np.std([r.value for r in reps], ddof=1)
         ratio = np.mean([r.std_error for r in reps]) / spread
         assert 0.5 <= ratio <= 2.0
+
+    def test_memory_stays_flat_in_steps(self):
+        # the batch-means error needs O(sqrt(steps)) per-batch sums; storing
+        # every cost would take 16 MB here
+        sys_ = scalar_system(a=0.5)
+        tracemalloc.start()
+        try:
+            d.simulate(sys_, [[0.0]], steps=2_000_000, burn_in=1000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     def test_deterministic_given_seed(self, demo_system, demo_solution):
         a = d.simulate(demo_system, demo_solution.K, steps=500, burn_in=100, seed=9)

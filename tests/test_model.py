@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from numpy.random import default_rng
 
 import drclqr as d
-from oracles import power_growth_radius, random_system, scan_certificate
+from conftest import SYSTEMS_DIR
+from drclqr.cli import load_system_file, run_sweep
+from oracles import assert_envelope, power_growth_radius, random_system, scan_certificate
 
 
 def scalar_system(a=0.5, b=1.0, q=1.0, r=1.0, s=0.0):
@@ -122,13 +124,34 @@ class TestEstimateCertificate:
         with pytest.raises(d.Unstable):
             d.estimate_certificate([[1.5]])
 
-    @pytest.mark.parametrize("M", [[[0.999]], 0.999 * np.eye(6) + np.eye(6, k=1)], ids=["scalar", "jordan6"])
-    def test_scan_cap_raises(self, M):
-        # ||M^k|| is still far above 1e-12 at the 10 000th power for both
-        with pytest.raises(d.NoConvergence, match="k = 10000"):
-            d.estimate_certificate(M)
-        with pytest.raises(d.NoConvergence):
-            d.joint_certificate([[0.5]], M)
+    def test_near_marginal_scalar_closes_at_first_power(self):
+        # 0.999 e^{rho} = 0.999^{0.01} < 1: the first power already certifies
+        for cert in (d.estimate_certificate([[0.999]]), d.joint_certificate([[0.5]], [[0.999]])):
+            assert cert.method == "scan"
+            assert cert.k_max == 1
+            assert cert.tau == 1.0
+            assert cert.rho == -0.99 * np.log(0.999)
+
+    def test_near_marginal_jordan_takes_lyapunov_fallback(self):
+        J = 0.999 * np.eye(6) + np.eye(6, k=1)
+        for cert in (d.estimate_certificate(J), d.joint_certificate([[0.5]], J)):
+            assert cert.method == "lyapunov"
+            assert cert.k_max <= 1
+            assert 0.0 < cert.rho < -0.99 * np.log(0.999)
+            assert_envelope(cert, J)
+
+    @pytest.mark.parametrize("n, lam", [(6, 0.9), (6, 0.99), (10, 0.5)])
+    def test_jordan_envelope_holds_beyond_the_scan(self, n, lam):
+        # for J_6 a scan stopping at ||J^k|| <= 1e-12 (k = 519 and 6658) leaves
+        # the envelope broken at every k from 520 to 3114 and from 6659 on; the
+        # powers of J_10(0.5) underflow to exact zeros near k = 1160, before
+        # ||J^k|| e^{rho k} falls below 1, and a scan taking those zeros at
+        # face value would close with an infinite tau
+        J = lam * np.eye(n) + np.eye(n, k=1)
+        for cert in (d.estimate_certificate(J), d.joint_certificate([[0.5]], J)):
+            assert_envelope(cert, J)
+            assert cert.method == "lyapunov"
+            assert np.isfinite(cert.tau)
 
 
 class TestJointCertificate:
@@ -155,6 +178,21 @@ class TestJointCertificate:
         with pytest.raises(d.Unstable):
             d.joint_certificate([[0.5]], [[1.01]])
 
+    @pytest.mark.parametrize(
+        "name, tau, rho",
+        [
+            ("demo3x3", "0x1.4c2db7bb5f9a9p+2", "0x1.b7ef59654720fp-5"),
+            ("scalar_stable", "0x1.0000000000000p+0", "0x1.5f57aa5633e79p-1"),
+            ("scalar_unstable", "0x1.0000000000000p+0", "0x1.5f57aa5633e79p-1"),
+        ],
+    )
+    def test_system_files_keep_their_certificate(self, name, tau, rho):
+        # pinned bit for bit: the bundled systems' certificates must not move
+        sys_, K0 = load_system_file(SYSTEMS_DIR / f"{name}.json")
+        result = run_sweep(sys_, 1, K0=K0)
+        assert result.tau == float.fromhex(tau)
+        assert result.rho == float.fromhex(rho)
+
 
 @st.composite
 def certifiable_matrices(draw):
@@ -179,13 +217,9 @@ class TestCertificateOracle:
     @given(A=certifiable_matrices(), A_cl=certifiable_matrices())
     def test_joint_certificate_matches_brute_force(self, A, A_cl):
         cert = d.joint_certificate(A, A_cl)
-        tau, rho, k_max = scan_certificate([A, A_cl])
-        assert cert.rho == rho
-        assert cert.tau == pytest.approx(tau, rel=1e-9)
-        assert abs(cert.k_max - k_max) <= 1
-        envelope = np.array([cert.decay(k) for k in range(cert.k_max + 1)])
         for M in (A, A_cl):
-            powers = [np.eye(M.shape[0])]
-            for _ in range(cert.k_max):
-                powers.append(powers[-1] @ M)
-            assert np.all(np.linalg.norm(np.stack(powers), 2, axis=(1, 2)) <= envelope + 1e-12)
+            assert_envelope(cert, M)
+        if cert.method == "scan":
+            tau, rho, _ = scan_certificate([A, A_cl])
+            assert cert.rho == rho
+            assert cert.tau == pytest.approx(tau, rel=1e-9)

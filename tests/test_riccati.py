@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.random import default_rng
 
 import drclqr as d
-from oracles import random_system, value_iteration_dare
+from oracles import random_system, scipy_dare, value_iteration_dare
 
 
 def scalar_system(a=0.5, b=1.0, q=1.0, r=1.0, s=0.0):
@@ -60,6 +62,34 @@ def test_random_systems_stable_and_consistent():
         assert sol.residual_norm <= 1e-9 * (1 + np.linalg.norm(sol.P, 2))
         assert np.linalg.eigvalsh(sol.P)[0] >= -1e-10
         assert np.array_equal(sol.P, sol.P.T)
+
+
+def _rel_error(sys_):
+    P = scipy_dare(sys_)
+    return np.linalg.norm(d.solve_dare(sys_).P - P, 2) / np.linalg.norm(P, 2)
+
+
+@st.composite
+def near_marginal_systems(draw):
+    """random_system weights (cross term S != 0) around an A with spectral radius in [0.99, 0.9995]."""
+    rng = default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_system(rng, sr_range=(0.99, 0.9995))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sys_=near_marginal_systems())
+@example(sys_=scalar_system(a=0.999, b=0.01))
+# doubling alone ends 1.05e-12 off here; the closing Newton step brings it to 1e-14
+@example(sys_=random_system(default_rng(8), sr_range=(0.99, 0.9995)))
+def test_near_marginal_matches_scipy(sys_):
+    assert _rel_error(sys_) <= 1e-12
+
+
+def test_doubling_step_count(demo_system, demo_solution):
+    # doubling step k covers 2^k steps of a plain fixed-point iteration, which
+    # needed 112 steps on the demo and 1210 on the near-marginal scalar
+    assert demo_solution.iterations <= 10
+    assert d.solve_dare(scalar_system(a=0.999, b=0.01)).iterations <= 15
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
