@@ -89,14 +89,15 @@ def cost_of_gain(sys: LQRSystem, K) -> CostReport:
     The stationary covariance solves Sigma = (A+BK) Sigma (A+BK)' + I, which
     is the Gramian recursion with transposed roles; the cost is then
     trace(Sigma (Q + K'RK + S'K + K'S)).  For the DARE-optimal gain this
-    equals trace(P) exactly.
+    equals trace(P) exactly.  An unstable closed loop raises :class:`Unstable`
+    from the Gramian's own check, re-raised with the closed loop named.
     """
     K = np.atleast_2d(np.asarray(K, dtype=float))
     A_cl = sys.A + sys.B @ K
-    sr = spectral_radius(A_cl)
-    if sr >= 1.0:
-        raise Unstable(f"closed loop A+BK has spectral radius {sr:.6g} >= 1; cost diverges")
-    sigma = gramian(A_cl.T, np.eye(sys.n_x)).G
+    try:
+        sigma = gramian(A_cl.T, np.eye(sys.n_x)).G
+    except Unstable as exc:
+        raise Unstable(f"closed loop A+BK: {exc}") from exc
     value = float(np.trace(sigma @ _stage_weight(sys, K)))
     return CostReport(value=value, method="analytic_gain")
 

@@ -33,11 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import InvalidHorizon, NotPositiveDefinite, Unstable
-from .lyapunov import Gramian, solve_dsylvester
-from .model import LQRSystem, spectral_radius
+from .lyapunov import Gramian, _radius, _schur, _solve_schur
+from .model import LQRSystem
 
 __all__ = [
     "DRCPolicy",
@@ -161,9 +160,11 @@ def _cholesky(M: np.ndarray) -> np.ndarray:
     A factorization failure raises :class:`NotPositiveDefinite` with a
     lambda_min estimate; there is no least-squares fallback, by design.
     """
+    from scipy.linalg import cholesky
+
     M = (M + M.T) / 2.0
     try:
-        return scipy.linalg.cholesky(M, check_finite=False)
+        return cholesky(M, check_finite=False)
     except np.linalg.LinAlgError as exc:
         lam = float(np.linalg.eigvalsh(M)[0])
         raise NotPositiveDefinite(
@@ -181,8 +182,10 @@ def solve_drc(matrices: DRCSystemMatrices) -> DRCPolicy:
     an assumption was violated upstream and raises
     :class:`NotPositiveDefinite` with a lambda_min estimate.
     """
+    from scipy.linalg import cho_solve
+
     U = _cholesky(matrices.M)
-    L = scipy.linalg.cho_solve((U, False), -matrices.J, check_finite=False)
+    L = cho_solve((U, False), -matrices.J, check_finite=False)
     return DRCPolicy.from_stacked(L, matrices.H)
 
 
@@ -204,12 +207,14 @@ def solve_drc_orders(matrices: DRCSystemMatrices):
     sum_{k<=H} ||y_k||_F^2, what the optimal order-H DRC saves against
     trace(G).  An indefinite M raises :class:`NotPositiveDefinite`.
     """
+    from scipy.linalg import solve_triangular
+
     U = _cholesky(matrices.M)
     H, n_u = matrices.H, matrices.n_u
     n_x = matrices.J.shape[1]
     # U'[y, R'] = [-J, E] with E the first n_u columns of the identity
     rhs = np.hstack((-matrices.J, np.eye(H * n_u, n_u)))
-    z = scipy.linalg.solve_triangular(U, rhs, trans="T", check_finite=False)
+    z = solve_triangular(U, rhs, trans="T", check_finite=False)
     y = z[:, :n_x].reshape(H, n_u, n_x)
     R = z[:, n_x:].reshape(H, n_u, n_u).transpose(0, 2, 1)
     first = np.cumsum(R @ y, axis=0)
@@ -252,7 +257,8 @@ def truncation_residual(sys: LQRSystem, G, K, H: int) -> list:
     (exact up to round-off), so this is the reference path; a brute-force
     tail summation is kept in the test suite as the independent oracle.
 
-    Requires A and A+BK both stable (the tail otherwise diverges).
+    Requires A and A+BK both stable (the tail otherwise diverges); the check
+    reads each spectral radius off the Schur form the Sylvester solve uses.
     """
     if H < 1:
         raise InvalidHorizon(f"H must be >= 1, got {H}")
@@ -260,13 +266,15 @@ def truncation_residual(sys: LQRSystem, G, K, H: int) -> list:
     K = np.atleast_2d(np.asarray(K, dtype=float))
     A, B = sys.A, sys.B
     A_cl = A + B @ K
+    forms = []
     for name, M in (("A", A), ("A+BK", A_cl)):
-        sr = spectral_radius(M)
+        forms.append(_schur(M))
+        sr = _radius(forms[-1])
         if sr >= 1.0:
             raise Unstable(f"{name} has spectral radius {sr:.6g} >= 1; tail sum diverges")
 
     W = -(A.T @ Gm @ B + sys.S.T) @ K
-    Y = solve_dsylvester(A, A_cl, W)
+    Y = _solve_schur(*forms, W)
 
     right = Y @ np.linalg.matrix_power(A_cl, H)
     blocks = [None] * H

@@ -302,7 +302,8 @@ def _lyapunov_certificate(M: np.ndarray, radius: float) -> tuple[float, float]:
     from .lyapunov import solve_dsylvester  # lyapunov imports this module
 
     gamma = radius + _LYAPUNOV_SLACK * (1.0 - radius)
-    P = solve_dsylvester(M / gamma, M / gamma, np.eye(M.shape[0]))
+    scaled = M / gamma
+    P = solve_dsylvester(scaled, scaled, np.eye(M.shape[0]))
     eig = np.linalg.eigvalsh((P + P.T) / 2.0)
     if not (np.all(np.isfinite(eig)) and eig[0] > 0.0):
         raise NoConvergence(

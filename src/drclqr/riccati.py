@@ -23,7 +23,15 @@ W_k = I + G_k H_k,
 H_k is the cost-to-go of the first 2^k steps of the folded problem, so it
 rises monotonically to P, and A_k behaves like (A + BK)^{2^k}: each step
 squares the remaining error, so the count of steps is about log2 of what a
-plain fixed-point iteration needs.  The doubling carries round-off of up to
+plain fixed-point iteration needs.  The stop test ||H_{k+1} - H_k||_2 <=
+tol ||H_{k+1}||_2 takes two singular value decompositions, so each step first
+runs a Frobenius pre-test that can only answer "not yet": since
+||X||_2 >= ||X||_F / sqrt(n) and ||H||_F >= ||H||_2, a step with
+||H_{k+1} - H_k||_F > 2 sqrt(n) tol ||H_{k+1}||_F has
+||H_{k+1} - H_k||_2 > 2 tol ||H_{k+1}||_2 and fails the stop test with a
+factor 2 to spare for round-off.  The SVDs thus run only on near-converged
+steps, and the step that stops, hence ``iterations``, is the one the
+spectral test alone would pick.  The doubling carries round-off of up to
 ~1e-12 relative on near-marginal plants, so one Newton (Hewer) step follows:
 P is re-solved as the cost of the gain it defines, one Stein solve.  Gain and
 residual come from one Riccati step at that P, whose inner solve uses a
@@ -37,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import NoConvergence, SingularInnerSolve
 from .lyapunov import solve_dsylvester
@@ -63,14 +70,16 @@ class RiccatiSolution:
 
 def _dare_step(sys: LQRSystem, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One Riccati iteration; returns (P_next, K) for the current P."""
+    from scipy.linalg import cho_factor, cho_solve
+
     inner = sys.R + sys.B.T @ P @ sys.B
     inner = (inner + inner.T) / 2.0
     try:
-        chol = scipy.linalg.cho_factor(inner, check_finite=False)
+        chol = cho_factor(inner, check_finite=False)
     except np.linalg.LinAlgError as exc:  # scipy.linalg.LinAlgError is the same class
         raise SingularInnerSolve(f"R + B'PB is not positive definite: {exc}") from exc
     rhs = sys.B.T @ P @ sys.A + sys.S
-    K = -scipy.linalg.cho_solve(chol, rhs, check_finite=False)
+    K = -cho_solve(chol, rhs, check_finite=False)
     P_next = sys.A.T @ P @ sys.A + rhs.T @ K + sys.Q
     return (P_next + P_next.T) / 2.0, K
 
@@ -80,25 +89,32 @@ def solve_dare(sys: LQRSystem, tol: float = 1e-12, max_iter: int = 100000) -> Ri
 
     Doubles until ||H_{k+1} - H_k|| <= tol * ||H_{k+1}|| (spectral norms), so
     ``tol`` is the relative accuracy asked of P; ``iterations`` is the number
-    of doubling steps.  Then the gain K of the converged H is priced exactly,
-    P = (A+BK)' P (A+BK) + Q + K'RK + S'K + K'S, K is recomputed from that P
-    and the DARE defect reported.  Non-finite iterates, or no convergence within
-    ``max_iter`` steps, signal an unstabilizable pair (or a tol below what the
-    conditioning supports) and raise :class:`NoConvergence`; an R that is not
-    positive definite raises :class:`SingularInnerSolve`.
+    of doubling steps.  The two singular value decompositions of that test run
+    only on steps that pass a Frobenius pre-test, ||H_{k+1} - H_k||_F <=
+    2 sqrt(n) tol ||H_{k+1}||_F; the module docstring says why the pre-test
+    cannot change which step stops.  Then the gain K of the converged H is
+    priced exactly, P = (A+BK)' P (A+BK) + Q + K'RK + S'K + K'S, K is
+    recomputed from that P and the DARE defect reported.  Non-finite
+    iterates, or no convergence within ``max_iter`` steps, signal an
+    unstabilizable pair (or a tol below what the conditioning supports) and
+    raise :class:`NoConvergence`; an R that is not positive definite raises
+    :class:`SingularInnerSolve`.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     try:
-        chol = scipy.linalg.cho_factor(sys.R, check_finite=False)
+        chol = cho_factor(sys.R, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SingularInnerSolve(f"R is not positive definite: {exc}") from exc
-    R_inv_S = scipy.linalg.cho_solve(chol, sys.S, check_finite=False)
+    R_inv_S = cho_solve(chol, sys.S, check_finite=False)
     A = sys.A - sys.B @ R_inv_S
-    G = sys.B @ scipy.linalg.cho_solve(chol, sys.B.T, check_finite=False)
+    G = sys.B @ cho_solve(chol, sys.B.T, check_finite=False)
     G = (G + G.T) / 2.0
     H = sys.Q - sys.S.T @ R_inv_S
     H = (H + H.T) / 2.0
     n = sys.n_x
     eye = np.eye(n)
+    pretest = 2.0 * np.sqrt(n) * tol
     for it in range(1, max_iter + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             solved = np.linalg.solve(eye + G @ H, np.hstack((A, G)))  # W^{-1} [A, G]
@@ -112,7 +128,11 @@ def solve_dare(sys: LQRSystem, tol: float = 1e-12, max_iter: int = 100000) -> Ri
                 f"DARE doubling diverged to non-finite values at step {it} "
                 f"(pair (A, B) is likely not stabilizable)"
             )
-        done = spectral_norm(H_next - H) <= tol * max(spectral_norm(H_next), 1e-300)
+        step = H_next - H
+        done = (
+            np.linalg.norm(step) <= pretest * max(np.linalg.norm(H_next), 1e-300)
+            and spectral_norm(step) <= tol * max(spectral_norm(H_next), 1e-300)
+        )
         H = H_next
         if done:
             break

@@ -7,7 +7,7 @@ brute-force tail summation instead of the Sylvester closed form, power growth
 instead of eigenvalues, fresh matrix powers instead of a running product, the
 O(H^2)-block direct formulas instead of the block-Toeplitz assembly, a
 per-step rollout instead of the blocked one.  Slow is fine; independent is
-the point.
+the point.  The one exception is ``sda_iterations``, whose docstring says why.
 """
 
 import numpy as np
@@ -88,12 +88,20 @@ def direct_assemble(sys, G, H: int) -> DRCSystemMatrices:
     return DRCSystemMatrices(M=M, J=J, H=H)
 
 
+def kron_dsylvester(A, B, C):
+    """Direct vectorized solve of A'XB + C = X (O(n^6), test use only).
+
+    Column-major vec turns A'XB into (B' kron A') vec X.
+    """
+    n = A.shape[0]
+    coeff = np.eye(n * n) - np.kron(B.T, A.T)
+    x = np.linalg.solve(coeff, C.flatten(order="F"))
+    return x.reshape((n, n), order="F")
+
+
 def kron_gramian(A, Q):
     """Direct vectorized solve of G = A'GA + Q (O(n^6), test use only)."""
-    n = A.shape[0]
-    coeff = np.eye(n * n) - np.kron(A.T, A.T)
-    g = np.linalg.solve(coeff, Q.flatten(order="F"))
-    return g.reshape((n, n), order="F")
+    return kron_dsylvester(A, A, Q)
 
 
 def series_gramian(A, Q, tail=1e-14):
@@ -167,6 +175,38 @@ def scipy_dare(sys_):
     W = sys_.Q + K.T @ sys_.R @ K + sys_.S.T @ K + K.T @ sys_.S
     P = scipy.linalg.solve_discrete_lyapunov(F.T, W)
     return (P + P.T) / 2.0
+
+
+def sda_iterations(sys_, tol=1e-12, max_iter=100000):
+    """Doubling steps plain SDA takes with the spectral-norm stop test alone.
+
+    The same recurrence as ``riccati.solve_dare``, on purpose: what this
+    oracle checks is the stop decision, so the iterates must match bit for
+    bit and only the stop test differs.  It takes both singular value
+    decompositions on every step, with no Frobenius pre-test, and stops at
+    the first step with ||H_{k+1} - H_k||_2 <= tol ||H_{k+1}||_2.
+    """
+    chol = scipy.linalg.cho_factor(sys_.R, check_finite=False)
+    R_inv_S = scipy.linalg.cho_solve(chol, sys_.S, check_finite=False)
+    A = sys_.A - sys_.B @ R_inv_S
+    G = sys_.B @ scipy.linalg.cho_solve(chol, sys_.B.T, check_finite=False)
+    G = (G + G.T) / 2.0
+    H = sys_.Q - sys_.S.T @ R_inv_S
+    H = (H + H.T) / 2.0
+    n = A.shape[0]
+    eye = np.eye(n)
+    for it in range(1, max_iter + 1):
+        solved = np.linalg.solve(eye + G @ H, np.hstack((A, G)))
+        H_next = H + A.T @ H @ solved[:, :n]
+        G = G + A @ solved[:, n:] @ A.T
+        A = A @ solved[:, :n]
+        H_next = (H_next + H_next.T) / 2.0
+        G = (G + G.T) / 2.0
+        done = np.linalg.norm(H_next - H, 2) <= tol * max(np.linalg.norm(H_next, 2), 1e-300)
+        H = H_next
+        if done:
+            return it
+    raise AssertionError(f"plain doubling did not meet tol={tol:g} within {max_iter} steps")
 
 
 def scan_certificate(matrices, cap=10000):

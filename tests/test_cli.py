@@ -307,6 +307,18 @@ class TestDispatch:
         assert "accepted= true" in proc.stdout
         assert "RuntimeWarning" not in proc.stderr
 
+    def test_import_and_validate_need_no_scipy(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = (
+            "import sys, drclqr; from drclqr.cli import dispatch; "
+            f"rc = dispatch(['validate', {str(DEMO_PATH)!r}]); "
+            "assert rc == 0, rc; assert 'scipy' not in sys.modules, 'scipy imported'"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "accepted= true" in proc.stdout
+
     def test_unknown_log_level_warns(self, capsys, monkeypatch):
         monkeypatch.setenv("DRC_LQR_LOG", "chatty")
         assert dispatch(["validate", str(DEMO_PATH)]) == 0

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import default_rng
 
 import drclqr as d
-from oracles import kron_gramian, random_system, series_dsylvester, series_gramian
+from drclqr import lyapunov
+from oracles import kron_dsylvester, kron_gramian, random_system, series_dsylvester, series_gramian
 
 
 class TestGramian:
@@ -130,6 +133,114 @@ class TestJordanBlocks:
         B *= 0.97 / d.spectral_radius(B)
         X = d.solve_dsylvester(A, B, W)
         assert np.linalg.norm(A.T @ X @ B + W - X, 2) <= 1e-12 * np.linalg.norm(X, 2)
+
+
+@st.composite
+def stein_problems(draw):
+    """(kind, A, B, C) with n from 1 to 8; B is A, an equal copy of A, a
+    distinct matrix, or A a 6 x 6 Jordan block with eigenvalue 0.9 or 0.99."""
+    rng = default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["same", "copy", "distinct", "jordan"]))
+    if kind == "jordan":
+        A = jordan_block(draw(st.sampled_from([0.9, 0.99])))
+        n = 6
+    else:
+        n = draw(st.integers(1, 8))
+        A = rng.normal(size=(n, n))
+        A *= draw(st.floats(0.0, 0.95)) / d.spectral_radius(A)
+    if kind == "same" or kind == "jordan":
+        B = A
+    elif kind == "copy":
+        B = A.copy()
+    else:
+        B = rng.normal(size=(n, n))
+        B *= draw(st.floats(0.0, 0.95)) / d.spectral_radius(B)
+    return kind, A, B, rng.normal(size=(n, n))
+
+
+class TestSteinProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(problem=stein_problems())
+    def test_matches_oracle(self, problem):
+        kind, A, B, C = problem
+        X = d.solve_dsylvester(A, B, C)
+        # the series sums a defective block term by term; Kronecker elsewhere
+        X_ref = series_dsylvester(A, B, C) if kind == "jordan" else kron_dsylvester(A, B, C)
+        assert np.linalg.norm(X - X_ref, 2) <= 1e-10 * (1.0 + np.linalg.norm(X_ref, 2))
+        if kind == "copy":
+            # two factorizations of equal matrices agree with the shared one
+            shared = d.solve_dsylvester(A, A, C)
+            assert np.linalg.norm(X - shared, 2) <= 1e-12 * (1.0 + np.linalg.norm(shared, 2))
+
+    @pytest.fixture
+    def schur_calls(self, monkeypatch):
+        calls = []
+        real = lyapunov._schur
+        monkeypatch.setattr(lyapunov, "_schur", lambda M: calls.append(M) or real(M))
+        return calls
+
+    @pytest.mark.parametrize("copy, forms", [(False, 1), (True, 2)], ids=["B_is_A", "B_equal_copy"])
+    def test_one_schur_form_when_b_is_a(self, schur_calls, copy, forms):
+        A = 0.5 * jordan_block(0.9, 4)
+        d.solve_dsylvester(A, A.copy() if copy else A, np.eye(4))
+        assert len(schur_calls) == forms
+
+    def test_gramian_and_fallback_certificate_take_one_schur_form(self, schur_calls):
+        d.gramian(jordan_block(0.9, 4), np.eye(4))
+        assert len(schur_calls) == 1
+        schur_calls.clear()
+        assert d.estimate_certificate(jordan_block(0.999)).method == "lyapunov"
+        assert len(schur_calls) == 1
+
+
+def triangular(radius):
+    # upper triangular, so the Schur diagonal holds the eigenvalues exactly
+    return np.array([[radius, 0.3], [0.0, 0.5]])
+
+
+def identity_input_system(A):
+    n = A.shape[0]
+    return d.LQRSystem(A=A, B=np.eye(n), Q=np.eye(n), R=np.eye(n), S=np.zeros((n, n)))
+
+
+@pytest.mark.parametrize("radius", [1.0, 1.0001])
+class TestUnstableFromSchurDiagonal:
+    def test_gramian(self, radius):
+        with pytest.raises(d.Unstable, match="spectral radius"):
+            d.gramian(triangular(radius), np.eye(2))
+
+    def test_cost_of_gain_names_the_closed_loop(self, radius):
+        # A itself is stable; the gain moves one closed-loop eigenvalue to radius
+        sys_ = identity_input_system(0.5 * np.eye(2))
+        K = triangular(radius) - 0.5 * np.eye(2)
+        with pytest.raises(d.Unstable, match="closed loop A\\+BK"):
+            d.cost_of_gain(sys_, K)
+
+    def test_truncation_residual_names_a(self, radius):
+        sys_ = identity_input_system(triangular(radius))
+        with pytest.raises(d.Unstable, match="^A has spectral radius"):
+            d.truncation_residual(sys_, np.eye(2), np.zeros((2, 2)), 3)
+
+    def test_truncation_residual_names_the_closed_loop(self, radius):
+        sys_ = identity_input_system(0.5 * np.eye(2))
+        K = triangular(radius) - 0.5 * np.eye(2)
+        with pytest.raises(d.Unstable, match="^A\\+BK has spectral radius"):
+            d.truncation_residual(sys_, np.eye(2), K, 3)
+
+
+class TestSingularPencil:
+    def test_shared_form(self):
+        # lambda^2 = 1 for lambda = -1: B is A, one Schur form
+        A = np.array([[-1.0, 0.2], [0.0, 0.5]])
+        with pytest.raises(d.SingularPencil):
+            d.solve_dsylvester(A, A, np.eye(2))
+
+    def test_distinct_forms(self):
+        # 2 * 0.5 = 1 with A unstable and B stable
+        A = np.array([[2.0, 0.0], [1.0, 0.3]])
+        B = np.array([[0.5, 1.0], [0.0, 0.1]])
+        with pytest.raises(d.SingularPencil):
+            d.solve_dsylvester(A, B, np.ones((2, 2)))
 
 
 class TestGramianPowerBound:

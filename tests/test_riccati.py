@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from numpy.random import default_rng
 
 import drclqr as d
-from oracles import random_system, scipy_dare, value_iteration_dare
+from conftest import SYSTEMS_DIR
+from drclqr.cli import load_system_file
+from oracles import random_system, scipy_dare, sda_iterations, value_iteration_dare
 
 
 def scalar_system(a=0.5, b=1.0, q=1.0, r=1.0, s=0.0):
@@ -90,6 +92,22 @@ def test_doubling_step_count(demo_system, demo_solution):
     # needed 112 steps on the demo and 1210 on the near-marginal scalar
     assert demo_solution.iterations <= 10
     assert d.solve_dare(scalar_system(a=0.999, b=0.01)).iterations <= 15
+
+
+@pytest.mark.parametrize("path", sorted(SYSTEMS_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_pretest_keeps_the_step_count_on_system_files(path):
+    sys_, K0 = load_system_file(path)
+    problems = [sys_] if K0 is None else [sys_, d.transform(sys_, K0).transformed]
+    for problem in problems:
+        assert d.solve_dare(problem).iterations == sda_iterations(problem)
+
+
+def test_pretest_keeps_the_step_count_near_marginal():
+    # the Frobenius pre-test only skips the SVDs on steps the spectral test rejects
+    rng = default_rng(97)
+    for _ in range(120):
+        sys_ = random_system(rng, sr_range=(0.9, 0.9995))
+        assert d.solve_dare(sys_).iterations == sda_iterations(sys_)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
