@@ -197,6 +197,16 @@ def instability_witness(n: int, H: int, policy: DRCPolicy, t: int):
     is 1, an edge the caller accepts when asking for the maximal order (n = 1
     being the extreme case).
     """
+    bound, holds, _ = _witness(n, H, policy, t)
+    return bound, holds
+
+
+def _witness(n: int, H: int, policy: DRCPolicy, t: int):
+    """:func:`instability_witness` plus the exact covariance it checked.
+
+    Returns ``(lower_bound, holds, covariance)``, the covariance after t+1
+    disturbances, so a caller that also reports on it need not recompute it.
+    """
     if H < 1 or H > n:
         raise InvalidHorizon(f"the witness covers 1 <= H <= n, got H={H}, n={n}")
     if t < H:
@@ -228,4 +238,4 @@ def instability_witness(n: int, H: int, policy: DRCPolicy, t: int):
     bound *= c
 
     cov = drc_state_covariance(sys, policy, t + 1)
-    return bound, bool(cov[0, 0] >= bound[0, 0] - WITNESS_TOL)
+    return bound, bool(cov[0, 0] >= bound[0, 0] - WITNESS_TOL), cov

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds as bounds_mod
-from .cost import cost_of_drc, cost_of_gain, drc_state_covariance, simulate
+from .cost import cost_of_drc, cost_of_gain, simulate
 from .drc import DRCPolicy, assemble, solve_drc, solve_drc_orders
 from .exceptions import DimensionMismatch, DrclqrError, ParseError, Unstable
 from .lyapunov import gramian
@@ -389,8 +389,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_witness(args) -> int:
     rng = np.random.default_rng(args.seed)
     policy = DRCPolicy(blocks=tuple(rng.uniform(-1.0, 1.0, (1, args.n)) for _ in range(args.h)))
-    lower, holds = bounds_mod.instability_witness(args.n, args.h, policy, args.t)
-    cov = drc_state_covariance(bounds_mod.witness_plant(args.n), policy, args.t + 1)
+    lower, holds, cov = bounds_mod._witness(args.n, args.h, policy, args.t)
     print(f"n= {args.n}")
     print(f"H= {args.h}")
     print(f"t= {args.t}")

@@ -24,8 +24,10 @@ Box-Muller pairs and s = ceil(2p/4), step t reads the Philox stream keyed on
 the seed at counter increments t*s+1 .. t*s+s (four uint64 each, one
 uniform double per uint64) and uses the first 2p doubles, p for the radii
 and p for the angles.  A rollout draws its noise in blocks of steps, one
-generator per block.  (An earlier layout keyed one generator on (seed, t)
-per step, so the same seed gave different numbers before.)
+generator per block, and finds each block's states with a log-depth
+doubling scan rather than a step-by-step loop.  (An earlier layout keyed one
+generator on (seed, t) per step, so the same seed gave different numbers
+before.)
 
 The Monte-Carlo ``std_error`` is a batch-means estimate: floor(sqrt(n))
 consecutive batches over the n post-burn-in costs.  Stage costs of a
@@ -123,11 +125,9 @@ def cost_of_drc(sys: LQRSystem, G, policy: DRCPolicy) -> CostReport:
 # ---------------------------------------------------------------------------
 
 # The rollout runs in blocks of _BLOCK steps, so its working memory does not
-# grow with `steps`.  Within a block the state recursion runs on chunks of
-# _CHUNK steps: _CHUNK + _BLOCK / _CHUNK Python-level iterations per block
-# instead of _BLOCK.
+# grow with `steps`.  Within a block the state recursion is a doubling scan of
+# ceil(log2 _BLOCK) whole-block matrix products (see ``_states``).
 _BLOCK = 2048
-_CHUNK = 64
 
 
 def _noise(seed: int, t0: int, m: int, n: int) -> np.ndarray:
@@ -159,30 +159,25 @@ def disturbance(seed: int, t: int, n: int) -> np.ndarray:
     return _noise(seed, t, 1, n)[0]
 
 
-def _states(x0: np.ndarray, d: np.ndarray, powers_T: np.ndarray) -> np.ndarray:
+def _states(x0: np.ndarray, d: np.ndarray, powers_T: list[np.ndarray]) -> np.ndarray:
     """States x_0 .. x_m of x_{t+1} = F x_t + d_t from x_0 = x0, shape (m+1, n).
 
-    ``powers_T`` is [F^0' F^1' ... F^c'] side by side.  The m steps split into
-    chunks of c: every chunk runs from a zero start at once (c iterations),
-    the true chunk start states follow through F^c (m/c iterations), and
-    F^j times its start is added to each chunk's j-th zero-start state.
+    ``powers_T[j]`` is (F^(2^j))'.  A recursive-doubling prefix scan over the
+    forcing rows e_0 = d_0 + F x0, e_s = d_s: the level of step k = 2^j adds
+    F^k times the row k places back to every row, after which row i holds
+    sum F^(i-s) e_s over i-2k < s <= i.  Once 2k >= m that is x_{i+1}, so
+    ceil(log2 m) levels complete every row.
     """
     m, n = d.shape
-    c = powers_T.shape[1] // n - 1
-    chunks = -(-m // c)
-    forcing = np.zeros((chunks * c, n))
-    forcing[:m] = d
-    forcing = forcing.reshape(chunks, c, n)
-    F_T, F_c_T = powers_T[:, n : 2 * n], powers_T[:, c * n :]
-    zero_start = np.zeros((chunks, c + 1, n))
-    for j in range(c):
-        zero_start[:, j + 1] = zero_start[:, j] @ F_T + forcing[:, j]
-    starts = np.empty((chunks + 1, n))
-    starts[0] = x0
-    for i in range(chunks):
-        starts[i + 1] = starts[i] @ F_c_T + zero_start[i, c]
-    x = (starts[:chunks] @ powers_T[:, : c * n]).reshape(chunks, c, n) + zero_start[:, :c]
-    return np.vstack((x.reshape(-1, n), starts[chunks]))[: m + 1]
+    xs = np.empty((m + 1, n))
+    xs[0] = x0
+    y = xs[1:]
+    y[:] = d
+    y[0] += x0 @ powers_T[0]
+    for j, P_T in enumerate(powers_T[: (m - 1).bit_length()]):
+        k = 1 << j
+        y[k:] += y[:-k] @ P_T
+    return xs
 
 
 def _batch_layout(n: int) -> tuple[int, int]:
@@ -214,7 +209,7 @@ def simulate(sys: LQRSystem, controller, steps: int, burn_in: int = 1000, seed: 
 
     A DRC uses the true realized disturbances, with w_s = 0 for s < 0.  The
     work runs in fixed blocks of steps: the DRC input as an FIR filter over
-    the block's noise, the state by a chunked recursion (see ``_states``).
+    the block's noise, the state by a doubling scan (see ``_states``).
     """
     if burn_in < 0 or steps <= burn_in:
         raise ValueError(f"need steps > burn_in >= 0, got steps={steps}, burn_in={burn_in}")
@@ -246,10 +241,9 @@ def simulate(sys: LQRSystem, controller, steps: int, burn_in: int = 1000, seed: 
     batch_sums = np.zeros(batches)
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = [np.eye(n_x)]
-        for _ in range(_CHUNK):
-            powers.append(F @ powers[-1])
-        powers_T = np.hstack([P.T for P in powers])
+        powers_T = [F.T]  # (F^k)' for k = 1, 2, 4, ... < _BLOCK
+        while 1 << len(powers_T) < _BLOCK:
+            powers_T.append(powers_T[-1] @ powers_T[-1])
         for t0 in range(0, steps, _BLOCK):
             m = min(_BLOCK, steps - t0)
             w = _noise(seed, t0, m, n_x)

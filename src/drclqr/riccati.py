@@ -93,12 +93,12 @@ def solve_dare(sys: LQRSystem, tol: float = 1e-12, max_iter: int = 100000) -> Ri
     only on steps that pass a Frobenius pre-test, ||H_{k+1} - H_k||_F <=
     2 sqrt(n) tol ||H_{k+1}||_F; the module docstring says why the pre-test
     cannot change which step stops.  Then the gain K of the converged H is
-    priced exactly, P = (A+BK)' P (A+BK) + Q + K'RK + S'K + K'S, K is
-    recomputed from that P and the DARE defect reported.  Non-finite
-    iterates, or no convergence within ``max_iter`` steps, signal an
-    unstabilizable pair (or a tol below what the conditioning supports) and
-    raise :class:`NoConvergence`; an R that is not positive definite raises
-    :class:`SingularInnerSolve`.
+    priced exactly, P = (A+BK)' P (A+BK) + Q + K'RK + S'K + K'S, and one
+    Riccati step at that P gives both the final K and the reported DARE
+    defect.  Non-finite iterates, or no convergence within ``max_iter``
+    steps, signal an unstabilizable pair (or a tol below what the
+    conditioning supports) and raise :class:`NoConvergence`; an R that is not
+    positive definite raises :class:`SingularInnerSolve`.
     """
     from scipy.linalg import cho_factor, cho_solve
 
@@ -144,11 +144,11 @@ def solve_dare(sys: LQRSystem, tol: float = 1e-12, max_iter: int = 100000) -> Ri
     F = sys.A + sys.B @ K
     P = solve_dsylvester(F, F, sys.Q + K.T @ sys.R @ K + sys.S.T @ K + K.T @ sys.S)
     P = (P + P.T) / 2.0
-    _, K = _dare_step(sys, P)
+    P_next, K = _dare_step(sys, P)
     return RiccatiSolution(
         P=P,
         K=K,
-        residual_norm=dare_residual(P, sys),
+        residual_norm=spectral_norm(P_next - P),  # dare_residual(P, sys) from the same step
         iterations=it,
     )
 

@@ -253,6 +253,15 @@ class TestDispatch:
         lam = float(next(l for l in out.split("\n") if l.startswith("lambda_min_cov_minus_bound= ")).split()[1])
         assert lam < 0.0  # full PSD domination fails here; a diagnostic, not the verdict
 
+    def test_witness_evaluates_the_covariance_once(self, monkeypatch, capsys):
+        calls = []
+        real = d.cost.drc_state_covariance
+        for module in (d.cost, d.bounds, d.cli):  # every namespace that could bind it
+            if hasattr(module, "drc_state_covariance"):
+                monkeypatch.setattr(module, "drc_state_covariance", lambda *a: calls.append(a) or real(*a))
+        assert dispatch(["witness", "--n", "4", "--h", "3", "--t", "12"]) == 0
+        assert len(calls) == 1
+
     def test_domain_error_exits_one(self, tmp_path, capsys):
         path = write_doc(tmp_path, scalar_doc(S=[[2.0]]))
         assert dispatch(["dare", path]) == 1

@@ -3,10 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import default_rng
 
 import drclqr as d
-from drclqr.cost import _BLOCK, _CHUNK, COST_METHODS, _noise, disturbance
+from drclqr.cost import _BLOCK, COST_METHODS, _noise, _states, disturbance
 from conftest import DEMO_PATH
 from oracles import kron_gramian, loop_simulate
 
@@ -123,16 +125,20 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "system, H, steps, burn_in",
         [
-            # n odd, a gain, steps a multiple of neither the chunk nor the block, no burn-in
-            (lambda: d.load_system(DEMO_PATH), None, _BLOCK + _CHUNK + 5, 0),
+            # n odd, a gain, no burn-in, a final block of 69 steps: its last
+            # scan level (k = 64) reaches only the five rows past 64
+            (lambda: d.load_system(DEMO_PATH), None, _BLOCK + 69, 0),
             # n even, order larger than the final block's 3 steps
             (two_state_system, 10, _BLOCK + 3, 50),
             # n = 1, order 1, burn-in ending inside the second block
             (lambda: scalar_system(a=0.9), 1, 2 * _BLOCK + 7, _BLOCK + 100),
             # one block, one step short of a full one
             (lambda: d.load_system(DEMO_PATH), 4, _BLOCK - 1, 0),
-            # two costs, both in the last chunk
-            (two_state_system, None, 3 * _CHUNK + 1, 3 * _CHUNK - 1),
+            # one block of 193 = 2^7 + 65 steps, so the k = 128 level covers 65
+            # rows, and two costs at its very end
+            (two_state_system, None, 193, 191),
+            # a final block of one step, on which the scan runs no level
+            (two_state_system, 3, _BLOCK + 1, 10),
         ],
     )
     def test_matches_the_per_step_loop(self, system, H, steps, burn_in):
@@ -155,6 +161,33 @@ class TestSimulate:
     def test_divergence_step_matches_the_loop_without_warnings(self, sys_, H):
         rng = default_rng(8)
         policy = d.DRCPolicy(blocks=tuple(rng.normal(size=(sys_.n_u, sys_.n_x)) for _ in range(H)))
+        with pytest.raises(d.NonFinite) as ref:
+            loop_simulate(sys_, policy, steps=20_000, burn_in=0, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(d.NonFinite) as exc:
+                d.simulate(sys_, policy, steps=20_000, burn_in=0, seed=0)
+        assert exc.value.step == ref.value.step
+
+    @pytest.mark.parametrize("steps", [2 * _BLOCK + 7, _BLOCK + 69])
+    @pytest.mark.parametrize("lam, n", [(0.9, 6), (0.99, 6), (0.999, 3)])
+    def test_jordan_block_matches_the_per_step_loop(self, lam, n, steps):
+        # F^k of a Jordan block grows like k^(n-1) lam^k before it decays, the
+        # hard case for a scan that adds F^k-weighted partial sums
+        A = lam * np.eye(n) + np.eye(n, k=1)
+        sys_ = d.LQRSystem(A=A, B=np.ones((n, 1)), Q=np.eye(n), R=[[1.0]], S=np.zeros((1, n)))
+        K = np.zeros((1, n))
+        rep = d.simulate(sys_, K, steps=steps, burn_in=100, seed=3)
+        ref = loop_simulate(sys_, K, steps=steps, burn_in=100, seed=3)
+        assert rep.value == pytest.approx(ref.value, rel=1e-10)
+        assert rep.std_error == pytest.approx(ref.std_error, rel=1e-10)
+
+    @pytest.mark.parametrize("A", [[[0.5, 0.0], [0.0, 3.0]], [[0.5, 1.0], [0.0, 1.9]]], ids=["diagonal", "coupled"])
+    def test_divergence_step_on_mixed_stability_plants(self, A):
+        # the squared powers hold overflowing entries next to subnormal ones
+        sys_ = d.LQRSystem(A=A, B=[[1.0], [1.0]], Q=np.eye(2), R=[[1.0]], S=[[0.0, 0.0]])
+        rng = default_rng(8)
+        policy = d.DRCPolicy(blocks=tuple(rng.normal(size=(1, 2)) for _ in range(2)))
         with pytest.raises(d.NonFinite) as ref:
             loop_simulate(sys_, policy, steps=20_000, burn_in=0, seed=0)
         with warnings.catch_warnings():
@@ -232,6 +265,31 @@ class TestSimulate:
     def test_window_validation(self, demo_system, demo_solution):
         with pytest.raises(ValueError):
             d.simulate(demo_system, demo_solution.K, steps=100, burn_in=100)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 5),
+    radius=st.floats(0.0, 0.9995),
+    m=st.integers(1, 300),
+)
+def test_states_match_a_per_step_loop(seed, n, radius, m):
+    rng = default_rng(seed)
+    F = rng.normal(size=(n, n))
+    F *= radius / max(np.max(np.abs(np.linalg.eigvals(F))), 1e-300)
+    x0 = rng.normal(size=n)
+    forcing = rng.normal(size=(m, n))
+    powers_T = [F.T]
+    while 1 << len(powers_T) < m:
+        powers_T.append(powers_T[-1] @ powers_T[-1])
+    ref = [x0]
+    for row in forcing:
+        ref.append(F @ ref[-1] + row)
+    ref = np.array(ref)
+    xs = _states(x0, forcing, powers_T)
+    assert xs.shape == (m + 1, n)
+    assert np.max(np.abs(xs - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 class TestDrcStateCovariance:

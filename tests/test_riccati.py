@@ -6,6 +6,7 @@ from numpy.random import default_rng
 
 import drclqr as d
 from conftest import SYSTEMS_DIR
+from drclqr import riccati
 from drclqr.cli import load_system_file
 from oracles import random_system, scipy_dare, sda_iterations, value_iteration_dare
 
@@ -108,6 +109,21 @@ def test_pretest_keeps_the_step_count_near_marginal():
     for _ in range(120):
         sys_ = random_system(rng, sr_range=(0.9, 0.9995))
         assert d.solve_dare(sys_).iterations == sda_iterations(sys_)
+
+
+@pytest.mark.parametrize("path", sorted(SYSTEMS_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_two_riccati_steps_per_solve(path, monkeypatch):
+    # one step prices the doubling's gain, one at the final P gives both K
+    # and the residual
+    calls = []
+    real = riccati._dare_step
+    monkeypatch.setattr(riccati, "_dare_step", lambda sys_, P: calls.append(P) or real(sys_, P))
+    sys_, K0 = load_system_file(path)
+    for problem in [sys_] if K0 is None else [sys_, d.transform(sys_, K0).transformed]:
+        calls.clear()
+        sol = d.solve_dare(problem)
+        assert len(calls) == 2
+        assert sol.residual_norm == d.dare_residual(sol.P, problem)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
