@@ -16,10 +16,16 @@ followed by a trailer line `# slope=... rho=... tau=...` carrying the fitted
 log-linear decay rate and the certificate constants.  All numeric output uses
 12 significant digits; timing lives only in the wall_ms column.  The sweep
 solves every order at once, from one assembly, factorization and triangular
-solve at H_max, so wall_ms is the time of order H's own remaining work, its
-gain-error evaluation; the shared solve is in no row.
+solve at H_max, and then evaluates every order's gain error in one batched
+spectral-norm call; wall_ms is each row's 1/H_max share of that one timed
+evaluation, so every row carries the same value and the shared solve is in
+no row.
 
 Exit codes: 0 success, 1 domain error (bad math, bad file), 2 usage error.
+Out-of-range integers (--h-max below 1, a negative --burn-in or --seed,
+--steps not above --burn-in) are usage errors.  The argument parser is built
+once per process: repeated dispatch calls in one interpreter share it, and
+each parse fills a fresh namespace.
 Set DRC_LQR_LOG to error|info|debug to control diagnostics on stderr; the
 result stream stays clean.
 """
@@ -27,6 +33,7 @@ result stream stays clean.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -196,7 +203,9 @@ def run_sweep(sys_: LQRSystem, H_max: int, K0=None, tol: float = 1e-12) -> Sweep
 
     The order-H_max system is assembled and factored once; every order's
     first block and cost gap, trace(G) - sum_{k<=H} ||y_k||_F^2 - trace(P),
-    are prefix sums of one triangular solve (see the drc module).
+    are prefix sums of one triangular solve (see the drc module).  The gain
+    errors ||L_1^{(H)} - K||_2 of all orders come from one stacked norm call,
+    and each row's wall_ms is the 1/H_max share of that call's wall time.
     """
     if H_max < 1:
         raise ValueError(f"H_max must be >= 1, got {H_max}")
@@ -219,21 +228,21 @@ def run_sweep(sys_: LQRSystem, H_max: int, K0=None, tol: float = 1e-12) -> Sweep
     first, saved = solve_drc_orders(assemble(work, G, H_max))
     gaps = float(np.trace(G.G)) - saved - opt_cost
 
-    rows = []
-    for H in range(1, H_max + 1):
-        t0 = time.perf_counter()
-        err = float(np.linalg.norm(first[H - 1] - sol.K, 2))
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        rows.append(
-            SweepRow(
-                H=H,
-                err_L1_K=err,
-                bound_thm1=bounds_mod.gain_gap_bound(inp, H),
-                cost_gap=float(gaps[H - 1]),
-                bound_perf=bounds_mod.optimal_cost_gap_bound(inp, H),
-                wall_ms=wall_ms,
-            )
+    t0 = time.perf_counter()
+    errs = np.linalg.norm(first - sol.K, 2, axis=(1, 2))
+    wall_ms = (time.perf_counter() - t0) * 1e3 / H_max
+
+    rows = [
+        SweepRow(
+            H=H,
+            err_L1_K=float(errs[H - 1]),
+            bound_thm1=bounds_mod.gain_gap_bound(inp, H),
+            cost_gap=float(gaps[H - 1]),
+            bound_perf=bounds_mod.cost_gap_bound(inp, H),
+            wall_ms=wall_ms,
         )
+        for H in range(1, H_max + 1)
+    ]
     return SweepResult(rows=tuple(rows), slope=_fit_slope(rows), tau=cert.tau, rho=cert.rho)
 
 
@@ -252,7 +261,22 @@ def write_csv(result: SweepResult, stream):
 # Command dispatch
 # ---------------------------------------------------------------------------
 
+def _int_at_least(low: int):
+    """An argparse type: an integer >= low, rejected as a usage error otherwise."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    return parse
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every dispatch."""
     p = argparse.ArgumentParser(
         prog="drclqr",
         description="LQR gains, disturbance-response controllers, and their approximation bounds",
@@ -283,21 +307,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="H-sweep of gain/cost gaps against the certified bounds (CSV)")
     add_common(sp, dare=True)
-    sp.add_argument("--h-max", type=int, default=30, help="largest controller order (default 30)")
+    sp.add_argument("--h-max", type=_int_at_least(1), default=30, help="largest controller order (default 30)")
     sp.add_argument("--out", default=None, help="write CSV here instead of stdout")
 
     sp = sub.add_parser("simulate", help="Monte-Carlo cost of the optimal gain (or DRC with --h)")
     add_common(sp, dare=True)
     sp.add_argument("--h", type=int, default=None, metavar="H", help="simulate the optimal H-order controller")
     sp.add_argument("--steps", type=int, default=200000, help="rollout length (default 200000)")
-    sp.add_argument("--burn-in", type=int, default=1000, help="discarded prefix (default 1000)")
-    sp.add_argument("--seed", type=int, default=0, help="noise seed (default 0)")
+    sp.add_argument("--burn-in", type=_int_at_least(0), default=1000, help="discarded prefix (default 1000)")
+    sp.add_argument("--seed", type=_int_at_least(0), default=0, help="noise seed (default 0)")
 
     sp = sub.add_parser("witness", help="covariance lower bound on the hard plant (no system file)")
     sp.add_argument("--n", type=int, required=True, help="state dimension")
     sp.add_argument("--h", type=int, required=True, metavar="H", help="controller order (1 <= H <= n)")
     sp.add_argument("--t", type=int, required=True, help="time index (t >= H)")
-    sp.add_argument("--seed", type=int, default=0, help="seed for the random policy")
+    sp.add_argument("--seed", type=_int_at_least(0), default=0, help="seed for the random policy")
 
     return p
 
@@ -426,11 +450,18 @@ def _configure_logging():
 
 
 def dispatch(argv) -> int:
-    """Run one CLI invocation; returns the process exit code."""
+    """Run one CLI invocation; returns the process exit code.
+
+    The parser is built on the first call and reused by every later one in
+    the process; each parse fills a fresh namespace, so no option carries
+    over from one call to the next.
+    """
     _configure_logging()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "simulate" and args.steps <= args.burn_in:
+            parser.error(f"argument --steps: must exceed --burn-in, got {args.steps} <= {args.burn_in}")
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:

@@ -175,6 +175,29 @@ class TestRunSweep:
             assert abs(row.err_L1_K - err) <= tol_err
             assert abs(row.cost_gap - gap) <= tol_gap
 
+    @pytest.mark.parametrize("plant", ["demo3x3", "random_unstable_with_k0"])
+    def test_batched_errors_match_per_order_norms(self, plant, demo_system):
+        # One stacked norm call runs the same SVD as one call per order, so
+        # every row's error is bit-identical to the per-order evaluation.
+        K0 = None
+        if plant == "demo3x3":
+            sys_ = demo_system
+        else:
+            sys_ = random_unstable_system(default_rng(7))
+            K0 = d.default_prestabilizer(sys_)
+        H_max = 300
+        result = run_sweep(sys_, H_max, K0=K0)
+
+        work = sys_ if K0 is None else d.transform(sys_, K0).transformed
+        K = d.solve_dare(work).K
+        first, _ = d.solve_drc_orders(d.assemble(work, d.gramian(work.A, work.Q), H_max))
+        for row in result.rows:
+            assert row.err_L1_K == float(np.linalg.norm(first[row.H - 1] - K, 2))
+        walls = {row.wall_ms for row in result.rows}
+        assert len(walls) == 1
+        (wall,) = walls
+        assert np.isfinite(wall) and wall >= 0.0
+
 
 class TestWriteCsv:
     def test_layout(self, demo_system):
@@ -279,6 +302,53 @@ class TestDispatch:
         assert dispatch(["frobnicate"]) == 2
         assert dispatch([]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", str(DEMO_PATH), "--h-max", "0"],
+            ["sweep", str(DEMO_PATH), "--h-max", "-2"],
+            ["simulate", str(DEMO_PATH), "--steps", "10", "--burn-in", "20"],
+            ["simulate", str(DEMO_PATH), "--steps", "10", "--burn-in", "10"],
+            ["simulate", str(DEMO_PATH), "--burn-in", "-1"],
+            ["simulate", str(DEMO_PATH), "--steps", "2000", "--burn-in", "100", "--seed", "-1"],
+            ["witness", "--n", "4", "--h", "3", "--t", "12", "--seed", "-1"],
+        ],
+    )
+    def test_out_of_range_counts_are_usage_errors(self, argv, capsys):
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert len([line for line in captured.err.split("\n") if "error:" in line]) == 1
+
+    def test_parser_reuse_leaks_nothing(self, tmp_path, capsys, monkeypatch):
+        out_path = tmp_path / "sweep.csv"
+        assert dispatch(["sweep", str(DEMO_PATH), "--h-max", "3", "--out", str(out_path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert dispatch(["sweep", str(DEMO_PATH), "--h-max", "3"]) == 0
+        assert capsys.readouterr().out.startswith(CSV_HEADER + "\n")
+
+        tols = []
+        real = d.cli.solve_dare
+        monkeypatch.setattr(d.cli, "solve_dare", lambda sys_, tol: tols.append(tol) or real(sys_, tol=tol))
+        assert dispatch(["dare", str(DEMO_PATH), "--tol", "1e-10"]) == 0
+        assert dispatch(["dare", str(DEMO_PATH)]) == 0
+        assert tols == [1e-10, 1e-12]
+
+        assert dispatch(["sweep", str(DEMO_PATH), "--h-max", "zero"]) == 2
+        assert dispatch(["validate", str(DEMO_PATH)]) == 0
+        assert dispatch(["--help"]) == 0
+        assert dispatch(["validate", str(DEMO_PATH)]) == 0
+        assert "accepted= true" in capsys.readouterr().out
+
+    def test_parser_is_built_once_per_process(self, capsys):
+        d.cli._build_parser.cache_clear()
+        for argv in (["validate", str(DEMO_PATH)], ["frobnicate"], ["sweep", str(DEMO_PATH), "--h-max", "2"]):
+            dispatch(argv)
+        capsys.readouterr()
+        info = d.cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
     def test_tol_only_where_a_dare_is_solved(self, capsys):
         assert dispatch(["dare", str(DEMO_PATH), "--tol", "1e-10"]) == 0
