@@ -23,6 +23,7 @@ from .bounds import (
     BoundInputs,
     cost_gap_bound,
     gain_gap_bound,
+    gramian_power_bound,
     instability_witness,
     optimal_cost_gap_bound,
     schur_lambda_min,
@@ -53,7 +54,7 @@ from .exceptions import (
     SingularPencil,
     Unstable,
 )
-from .lyapunov import Gramian, gramian, gramian_power_bound, solve_dsylvester
+from .lyapunov import Gramian, gramian, solve_dsylvester
 from .model import (
     LQRSystem,
     StabilityCertificate,

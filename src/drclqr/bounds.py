@@ -12,9 +12,11 @@ The bounds:
   H-order DRC.  Decays like e^{-rho H}.
 * :func:`cost_gap_bound` — bound on the average-cost excess of the truncated
   induced policy of a gain K over the cost of K itself; with K the optimal
-  gain (:func:`optimal_cost_gap_bound`) it also bounds the optimal H-order
-  DRC's cost gap, because the optimal DRC can only improve on the truncated
-  policy.  Decays like e^{-2 rho H}.
+  gain (``optimal_cost_gap_bound``, another name for the same function) it
+  also bounds the optimal H-order DRC's cost gap, because the optimal DRC can
+  only improve on the truncated policy.  Decays like e^{-2 rho H}.
+* :func:`gramian_power_bound` — certified bound on ||G A^m||, G the Gramian
+  of (A, Q).  Decays like e^{-rho m}.
 
 :func:`instability_witness` builds the classic hard plant (2's on the
 diagonal, 1's on the superdiagonal, input only through the last coordinate)
@@ -40,6 +42,7 @@ __all__ = [
     "gain_gap_bound",
     "cost_gap_bound",
     "optimal_cost_gap_bound",
+    "gramian_power_bound",
     "witness_plant",
     "instability_witness",
 ]
@@ -143,14 +146,24 @@ def cost_gap_bound(inp: BoundInputs, H: int) -> float:
     return inp.n_x**2 * float(np.exp(-2.0 * rho * H)) * inner
 
 
-def optimal_cost_gap_bound(inp: BoundInputs, H: int) -> float:
-    """Bound on C(optimal H-order DRC) - C(optimal gain).
+# With ``inp`` built from the optimal gain (see the module docstring).
+optimal_cost_gap_bound = cost_gap_bound
 
-    The same expression as :func:`cost_gap_bound` with ``inp`` built from the
-    optimal gain: the optimal DRC costs no more than the truncated induced
-    policy the bound covers.
+
+def gramian_power_bound(cert: StabilityCertificate, normQ: float, m: int) -> float:
+    """Certified upper bound on ||G A^m||, G the Gramian of A and Q.
+
+    With ||A^k|| <= tau e^{-rho k} the series for G A^m telescopes into
+
+        ||G A^m|| <= tau^2 ||Q|| e^{-rho m} / (1 - e^{-2 rho}),
+
+    which is what this returns.  Each increment of m multiplies the bound by
+    e^{-rho}.
     """
-    return cost_gap_bound(inp, H)
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
+    decay = float(np.exp(-2.0 * cert.rho))
+    return cert.tau**2 * normQ * float(np.exp(-cert.rho * m)) / (1.0 - decay)
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +205,10 @@ def instability_witness(n: int, H: int, policy: DRCPolicy, t: int):
 
     The construction relies on the input having no effect on the first
     coordinate for the first H steps: e_1' A^{H-k} B = 0 for 1 <= k <= H.
-    That holds exactly while the exponent stays <= n - 2 and is checked for
-    that range (:class:`InvalidHorizon` if it fails); at H = n the k = 1 term
-    is 1, an edge the caller accepts when asking for the maximal order (n = 1
-    being the extreme case).
+    On this plant e_1' A^j B = (A^j)[0, n-1] = C(j, n-1) 2^{j-n+1}, which is
+    exactly 0 while the exponent j stays <= n - 2, so every H < n qualifies;
+    at H = n the k = 1 term is 1, an edge the caller accepts when asking for
+    the maximal order (n = 1 being the extreme case).
     """
     bound, holds, _ = _witness(n, H, policy, t)
     return bound, holds
@@ -220,11 +233,7 @@ def _witness(n: int, H: int, policy: DRCPolicy, t: int):
     A = sys.A
 
     power = np.eye(n)  # walks through A^0 .. A^H
-    for j in range(min(H, n - 1)):
-        if power[0, n - 1] != 0.0:
-            raise InvalidHorizon(f"e_1' A^{j} B = {power[0, n - 1]:g} != 0; the witness bound does not apply")
-        power = power @ A
-    for _ in range(min(H, n - 1), H):
+    for _ in range(H):
         power = power @ A
     c = float(power[0, :] @ power[0, :])  # e_1' A^H (A^H)' e_1
 

@@ -21,11 +21,12 @@ spectral-norm call; wall_ms is each row's 1/H_max share of that one timed
 evaluation, so every row carries the same value and the shared solve is in
 no row.
 
-Exit codes: 0 success, 1 domain error (bad math, bad file), 2 usage error.
-Out-of-range integers (--h-max below 1, a negative --burn-in or --seed,
---steps not above --burn-in) are usage errors.  The argument parser is built
-once per process: repeated dispatch calls in one interpreter share it, and
-each parse fills a fresh namespace.
+Exit codes: 0 success, 1 domain error (bad math, bad file, an --out path that
+cannot be written), 2 usage error.  Out-of-range numbers (--h-max below 1, a
+negative --burn-in or --seed, a simulate --seed of 2**128 or more, a --tol
+that is not finite and positive, --steps not above --burn-in) are usage
+errors.  The argument parser is built once per process: repeated dispatch
+calls in one interpreter share it, and each parse fills a fresh namespace.
 Set DRC_LQR_LOG to error|info|debug to control diagnostics on stderr; the
 result stream stays clean.
 """
@@ -261,16 +262,21 @@ def write_csv(result: SweepResult, stream):
 # Command dispatch
 # ---------------------------------------------------------------------------
 
-def _int_at_least(low: int):
-    """An argparse type: an integer >= low, rejected as a usage error otherwise."""
+def _ranged(kind, low, high=None, strict=False):
+    """An argparse type: a ``kind`` value >= low (> low if strict) and < high.
 
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+    A value out of range (NaN included) is rejected as a usage error.
+    """
+
+    def parse(text: str):
+        value = kind(text)
+        above = value > low if strict else value >= low
+        if not (above and (high is None or value < high)):
+            wanted = f"{'>' if strict else '>='} {low}" + ("" if high is None else f" and < {high}")
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {value}")
         return value
 
-    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    parse.__name__ = kind.__name__  # argparse names the type in its "invalid <type> value" message
     return parse
 
 
@@ -288,7 +294,10 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--lax", action="store_true", help="ignore unknown keys in the system file")
         if dare:
             sp.add_argument(
-                "--tol", type=float, default=1e-12, help="relative accuracy target of the DARE solution (default 1e-12)"
+                "--tol",
+                type=_ranged(float, 0.0, float("inf"), strict=True),
+                default=1e-12,
+                help="relative accuracy target of the DARE solution (default 1e-12)",
             )
 
     sp = sub.add_parser("validate", help="check the standing positive-definiteness assumption")
@@ -307,21 +316,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="H-sweep of gain/cost gaps against the certified bounds (CSV)")
     add_common(sp, dare=True)
-    sp.add_argument("--h-max", type=_int_at_least(1), default=30, help="largest controller order (default 30)")
+    sp.add_argument("--h-max", type=_ranged(int, 1), default=30, help="largest controller order (default 30)")
     sp.add_argument("--out", default=None, help="write CSV here instead of stdout")
 
     sp = sub.add_parser("simulate", help="Monte-Carlo cost of the optimal gain (or DRC with --h)")
     add_common(sp, dare=True)
     sp.add_argument("--h", type=int, default=None, metavar="H", help="simulate the optimal H-order controller")
     sp.add_argument("--steps", type=int, default=200000, help="rollout length (default 200000)")
-    sp.add_argument("--burn-in", type=_int_at_least(0), default=1000, help="discarded prefix (default 1000)")
-    sp.add_argument("--seed", type=_int_at_least(0), default=0, help="noise seed (default 0)")
+    sp.add_argument("--burn-in", type=_ranged(int, 0), default=1000, help="discarded prefix (default 1000)")
+    # the seed keys numpy's Philox generator, whose keys lie below 2**128
+    sp.add_argument("--seed", type=_ranged(int, 0, 2**128), default=0, help="noise seed (default 0)")
 
     sp = sub.add_parser("witness", help="covariance lower bound on the hard plant (no system file)")
     sp.add_argument("--n", type=int, required=True, help="state dimension")
     sp.add_argument("--h", type=int, required=True, metavar="H", help="controller order (1 <= H <= n)")
     sp.add_argument("--t", type=int, required=True, help="time index (t >= H)")
-    sp.add_argument("--seed", type=_int_at_least(0), default=0, help="seed for the random policy")
+    sp.add_argument("--seed", type=_ranged(int, 0), default=0, help="seed for the random policy")
 
     return p
 
@@ -466,7 +476,7 @@ def dispatch(argv) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except DrclqrError as exc:
+    except (DrclqrError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=_sys.stderr)
         return 1
 

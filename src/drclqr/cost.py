@@ -234,7 +234,7 @@ def simulate(sys: LQRSystem, controller, steps: int, burn_in: int = 1000, seed: 
         if sr >= 1.0:
             raise Unstable(f"closed loop A+BK has spectral radius {sr:.6g} >= 1")
 
-    weight = np.block([[sys.Q, sys.S.T], [sys.S, sys.R]])  # stage cost z'Wz, z = [x; u]
+    weight = sys.joint_weight()  # stage cost z'Wz, z = [x; u]
     x = np.zeros(n_x)
     n = steps - burn_in
     batches, length = _batch_layout(n)

@@ -16,7 +16,8 @@ Sylvester (Stein) equation A'XB + C = X, and one solver serves both:
   check reads the spectral radius off the same Schur diagonal.
 
 scipy is imported inside the functions that use it, so importing the package
-needs numpy only.
+needs numpy only.  Nothing is imported from :mod:`drclqr.model`, which
+imports :func:`solve_dsylvester` for its Lyapunov certificate.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionMismatch, SingularPencil, Unstable
-from .model import StabilityCertificate, spectral_norm
 
-__all__ = ["Gramian", "gramian", "solve_dsylvester", "gramian_power_bound"]
+__all__ = ["Gramian", "gramian", "solve_dsylvester"]
 
 # |lambda*mu - 1| at or below this means the Sylvester pencil is singular.
 PENCIL_TOL = 1e-10
@@ -107,7 +107,7 @@ def gramian(A, Q) -> Gramian:
 
     G = _solve_schur(form, form, Q)
     G = (G + G.T) / 2.0
-    defect = spectral_norm(A.T @ G @ A + Q - G)
+    defect = float(np.linalg.norm(A.T @ G @ A + Q - G, 2))
     return Gramian(G=G, defect=defect)
 
 
@@ -138,19 +138,3 @@ def solve_dsylvester(A, B, C) -> np.ndarray:
         )
     sa = _schur(A)
     return _solve_schur(sa, sa if same else _schur(B), C)
-
-
-def gramian_power_bound(cert: StabilityCertificate, normQ: float, m: int) -> float:
-    """Certified upper bound on ||G A^m||.
-
-    With ||A^k|| <= tau e^{-rho k} the series for G A^m telescopes into
-
-        ||G A^m|| <= tau^2 ||Q|| e^{-rho m} / (1 - e^{-2 rho}),
-
-    which is what this returns.  Each increment of m multiplies the bound by
-    e^{-rho}.
-    """
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    decay = float(np.exp(-2.0 * cert.rho))
-    return cert.tau**2 * normQ * float(np.exp(-cert.rho * m)) / (1.0 - decay)

@@ -51,6 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import AsymmetricMatrix, DimensionMismatch, NoConvergence, NotPositiveDefinite, Unstable
+from .lyapunov import solve_dsylvester
 
 __all__ = [
     "LQRSystem",
@@ -299,8 +300,6 @@ def _lyapunov_certificate(M: np.ndarray, radius: float) -> tuple[float, float]:
     M'PM = gamma^2 (P - I) <= q^2 P with q = gamma sqrt(1 - 1/lambda_max(P)),
     so M contracts the P-norm by q and ||M^k|| <= sqrt(cond(P)) q^k.
     """
-    from .lyapunov import solve_dsylvester  # lyapunov imports this module
-
     gamma = radius + _LYAPUNOV_SLACK * (1.0 - radius)
     scaled = M / gamma
     P = solve_dsylvester(scaled, scaled, np.eye(M.shape[0]))

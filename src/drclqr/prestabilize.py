@@ -30,9 +30,8 @@ __all__ = ["PrestabilizedSystem", "transform", "recover_gain", "default_prestabi
 
 @dataclass(frozen=True)
 class PrestabilizedSystem:
-    """Original system, the gain K0, and the transformed stable system."""
+    """The gain K0 and the transformed stable system it defines."""
 
-    base: LQRSystem
     K0: np.ndarray
     transformed: LQRSystem
 
@@ -54,7 +53,7 @@ def transform(sys: LQRSystem, K0) -> PrestabilizedSystem:
     Q_bar = sys.Q + K0.T @ sys.S + sys.S.T @ K0 + K0.T @ sys.R @ K0
     S_bar = sys.R @ K0 + sys.S
     transformed = LQRSystem(A=A_bar, B=sys.B, Q=Q_bar, R=sys.R, S=S_bar)
-    return PrestabilizedSystem(base=sys, K0=K0, transformed=transformed)
+    return PrestabilizedSystem(K0=K0, transformed=transformed)
 
 
 def recover_gain(K0, L1) -> np.ndarray:

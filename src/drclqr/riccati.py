@@ -31,13 +31,15 @@ runs a Frobenius pre-test that can only answer "not yet": since
 ||H_{k+1} - H_k||_2 > 2 tol ||H_{k+1}||_2 and fails the stop test with a
 factor 2 to spare for round-off.  The SVDs thus run only on near-converged
 steps, and the step that stops, hence ``iterations``, is the one the
-spectral test alone would pick.  The doubling carries round-off of up to
-~1e-12 relative on near-marginal plants, so one Newton (Hewer) step follows:
-P is re-solved as the cost of the gain it defines, one Stein solve.  Gain and
-residual come from one Riccati step at that P, whose inner solve uses a
-Cholesky factorization of R + B'PB; if that factorization (or R's own) fails
-the standing positive-definiteness assumption has been violated somewhere
-upstream and we raise rather than regularize.
+spectral test alone would pick.  ``_DOUBLING_CAP`` = 64 steps stand for 2^64
+fixed-point steps, so a solve that has not stopped by then never will.  The
+doubling carries round-off of up to ~1e-12 relative on near-marginal plants,
+so one Newton (Hewer) step follows: P is re-solved as the cost of the gain
+it defines, one Stein solve.  Gain and residual come from one Riccati step
+at that P, whose inner solve uses a Cholesky factorization of R + B'PB; if
+that factorization (or R's own) fails the standing positive-definiteness
+assumption has been violated somewhere upstream and we raise rather than
+regularize.
 """
 
 from __future__ import annotations
@@ -51,6 +53,9 @@ from .lyapunov import solve_dsylvester
 from .model import LQRSystem, spectral_norm
 
 __all__ = ["RiccatiSolution", "solve_dare", "dare_residual"]
+
+# Doubling steps before NoConvergence; step k covers 2^k fixed-point steps.
+_DOUBLING_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -84,7 +89,7 @@ def _dare_step(sys: LQRSystem, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (P_next + P_next.T) / 2.0, K
 
 
-def solve_dare(sys: LQRSystem, tol: float = 1e-12, max_iter: int = 100000) -> RiccatiSolution:
+def solve_dare(sys: LQRSystem, tol: float = 1e-12) -> RiccatiSolution:
     """Solve the DARE by structure-preserving doubling and one Newton step.
 
     Doubles until ||H_{k+1} - H_k|| <= tol * ||H_{k+1}|| (spectral norms), so
@@ -95,11 +100,14 @@ def solve_dare(sys: LQRSystem, tol: float = 1e-12, max_iter: int = 100000) -> Ri
     cannot change which step stops.  Then the gain K of the converged H is
     priced exactly, P = (A+BK)' P (A+BK) + Q + K'RK + S'K + K'S, and one
     Riccati step at that P gives both the final K and the reported DARE
-    defect.  Non-finite iterates, or no convergence within ``max_iter``
+    defect.  Non-finite iterates, or no convergence within ``_DOUBLING_CAP``
     steps, signal an unstabilizable pair (or a tol below what the
     conditioning supports) and raise :class:`NoConvergence`; an R that is not
-    positive definite raises :class:`SingularInnerSolve`.
+    positive definite raises :class:`SingularInnerSolve`.  A tol that is not
+    finite and positive raises ``ValueError`` before any work is done.
     """
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     from scipy.linalg import cho_factor, cho_solve
 
     try:
@@ -115,7 +123,7 @@ def solve_dare(sys: LQRSystem, tol: float = 1e-12, max_iter: int = 100000) -> Ri
     n = sys.n_x
     eye = np.eye(n)
     pretest = 2.0 * np.sqrt(n) * tol
-    for it in range(1, max_iter + 1):
+    for it in range(1, _DOUBLING_CAP + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             solved = np.linalg.solve(eye + G @ H, np.hstack((A, G)))  # W^{-1} [A, G]
             H_next = H + A.T @ H @ solved[:, :n]
@@ -137,9 +145,7 @@ def solve_dare(sys: LQRSystem, tol: float = 1e-12, max_iter: int = 100000) -> Ri
         if done:
             break
     else:
-        raise NoConvergence(
-            f"DARE doubling did not meet tol={tol:g} within {max_iter} steps"
-        )
+        raise NoConvergence(f"DARE doubling did not meet tol={tol:g} within its cap of {_DOUBLING_CAP} steps")
     _, K = _dare_step(sys, H)
     F = sys.A + sys.B @ K
     P = solve_dsylvester(F, F, sys.Q + K.T @ sys.R @ K + sys.S.T @ K + K.T @ sys.S)

@@ -102,6 +102,10 @@ class TestCostGapBound:
             ratio = d.cost_gap_bound(inp, H + 1) / d.cost_gap_bound(inp, H)
             assert ratio == pytest.approx(np.exp(-0.3), rel=1e-12)
 
+    def test_optimal_variant_is_the_same_function(self):
+        assert d.optimal_cost_gap_bound is d.cost_gap_bound
+        assert d.bounds.optimal_cost_gap_bound is d.bounds.cost_gap_bound
+
     def test_optimal_variant_is_same_expression(self):
         inp = unit_inputs(tau=1.5, rho=0.4, normS=0.2)
         for H in (1, 3, 7):

@@ -29,6 +29,13 @@ def write_doc(tmp_path, doc, name="sys.json"):
     return str(path)
 
 
+def assert_one_error_line(captured):
+    """Nothing on stdout, no traceback, and exactly one ``error:`` line on stderr."""
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert len([line for line in captured.err.split("\n") if "error:" in line]) == 1
+
+
 def scalar_doc(**overrides):
     doc = {"A": [[0.5]], "B": [[1.0]], "Q": [[1.0]], "R": [[1.0]], "S": [[0.0]]}
     doc.update(overrides)
@@ -321,6 +328,34 @@ class TestDispatch:
         assert captured.out == ""
         assert "Traceback" not in captured.err
         assert len([line for line in captured.err.split("\n") if "error:" in line]) == 1
+
+    @pytest.mark.parametrize("command", ["dare", "cost", "sweep", "simulate"])
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "1e-400"])
+    def test_tol_not_finite_and_positive_is_a_usage_error(self, command, tol, capsys):
+        assert dispatch([command, str(DEMO_PATH), "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert "--tol" in captured.err
+
+    def test_simulate_seed_must_fit_philox(self, capsys):
+        argv = ["simulate", str(DEMO_PATH), "--steps", "2000", "--burn-in", "100", "--seed"]
+        assert dispatch(argv + [str(2**128)]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert "--seed" in captured.err
+        assert dispatch(argv + [str(2**128 - 1)]) == 0
+        assert f"seed= {2**128 - 1}" in capsys.readouterr().out
+        # the witness policy seed goes to default_rng, which takes any size
+        assert dispatch(["witness", "--n", "4", "--h", "3", "--t", "12", "--seed", str(2**200)]) == 0
+        capsys.readouterr()
+
+    def test_unwritable_out_is_a_domain_error(self, tmp_path, capsys):
+        out_path = tmp_path / "missing_dir" / "x.csv"
+        assert dispatch(["sweep", str(DEMO_PATH), "--h-max", "3", "--out", str(out_path)]) == 1
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert "FileNotFoundError" in captured.err
+        assert not out_path.parent.exists()
 
     def test_parser_reuse_leaks_nothing(self, tmp_path, capsys, monkeypatch):
         out_path = tmp_path / "sweep.csv"

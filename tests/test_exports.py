@@ -1,4 +1,6 @@
+import ast
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -17,3 +19,22 @@ def test_module_all_names_are_defined(name):
 
 def test_package_all_resolves():
     assert not [attr for attr in d.__all__ if not hasattr(d, attr)]
+
+
+def test_gramian_power_bound_lives_in_bounds():
+    assert d.gramian_power_bound is d.bounds.gramian_power_bound
+    assert not hasattr(d.lyapunov, "gramian_power_bound")
+
+
+def test_no_model_lyapunov_import_cycle():
+    lyapunov = ast.parse(inspect.getsource(d.lyapunov))
+    assert not [n for n in ast.walk(lyapunov) if isinstance(n, ast.ImportFrom) and n.module == "model"]
+    model = ast.parse(inspect.getsource(d.model))
+    local = [
+        n
+        for f in ast.walk(model)
+        if isinstance(f, ast.FunctionDef)
+        for n in ast.walk(f)
+        if isinstance(n, (ast.Import, ast.ImportFrom))
+    ]
+    assert not local

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.random import default_rng
@@ -23,6 +25,9 @@ class TestTransform:
         assert ps.transformed.A[0, 0] == pytest.approx(0.5, abs=1e-15)
         assert ps.transformed.Q[0, 0] == pytest.approx(2.0, abs=1e-15)  # 1 + K0^2
         assert ps.transformed.S[0, 0] == pytest.approx(-1.0, abs=1e-15)  # R K0
+
+    def test_carries_only_the_gain_and_the_transformed_system(self):
+        assert [f.name for f in dataclasses.fields(d.PrestabilizedSystem)] == ["K0", "transformed"]
 
     def test_non_stabilizing_gain_rejected(self):
         with pytest.raises(d.NotStabilizing):

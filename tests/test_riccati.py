@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -131,6 +133,21 @@ def test_unstabilizable_pair_raises():
     unreachable = d.LQRSystem(A=[[1.5]], B=[[0.0]], Q=[[1.0]], R=[[1.0]], S=[[0.0]])
     with pytest.raises(d.NoConvergence):
         d.solve_dare(unreachable)
+
+
+def test_doubling_cap_raises_no_convergence(demo_system, monkeypatch):
+    # demo3x3 needs 9 doubling steps
+    monkeypatch.setattr(riccati, "_DOUBLING_CAP", 2)
+    with pytest.raises(d.NoConvergence, match="cap of 2 steps"):
+        d.solve_dare(demo_system)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_tol_must_be_finite_and_positive(demo_system, tol, monkeypatch):
+    # a missing scipy.linalg shows the check runs before the solver loads it
+    monkeypatch.setitem(sys.modules, "scipy.linalg", None)
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        d.solve_dare(demo_system, tol=tol)
 
 
 def test_indefinite_inner_matrix_raises():
