@@ -15,18 +15,21 @@ fixed header
 followed by a trailer line `# slope=... rho=... tau=...` carrying the fitted
 log-linear decay rate and the certificate constants.  All numeric output uses
 12 significant digits; timing lives only in the wall_ms column.  The sweep
-solves every order at once, from one assembly, factorization and triangular
-solve at H_max, and then evaluates every order's gain error in one batched
-spectral-norm call; wall_ms is each row's 1/H_max share of that one timed
+solves every order at once, from one assembly, factorization and forward
+substitution at H_max, and then evaluates every order's gain error in one
+batched spectral-norm call; wall_ms is each row's 1/H_max share of that one timed
 evaluation, so every row carries the same value and the shared solve is in
 no row.
 
 Exit codes: 0 success, 1 domain error (bad math, bad file, an --out path that
-cannot be written), 2 usage error.  Out-of-range numbers (--h-max below 1, a
-negative --burn-in or --seed, a simulate --seed of 2**128 or more, a --tol
-that is not finite and positive, --steps not above --burn-in) are usage
-errors.  The argument parser is built once per process: repeated dispatch
-calls in one interpreter share it, and each parse fills a fresh namespace.
+cannot be written), 2 usage error.  Out-of-range numbers (--h or --h-max below
+1, a negative --burn-in or --seed, a simulate --seed of 2**128 or more, a --tol
+that is not finite and positive, --steps not above --burn-in, a witness --n,
+--h or --t below 1, a witness --h above --n or a --t below --h) are usage
+errors.  sweep opens --out before it solves anything, so an unwritable path
+fails at once; a sweep that fails after that point leaves the file empty.
+The argument parser is built once per process: repeated dispatch calls in
+one interpreter share it, and each parse fills a fresh namespace.
 Set DRC_LQR_LOG to error|info|debug to control diagnostics on stderr; the
 result stream stays clean.
 """
@@ -204,9 +207,10 @@ def run_sweep(sys_: LQRSystem, H_max: int, K0=None, tol: float = 1e-12) -> Sweep
 
     The order-H_max system is assembled and factored once; every order's
     first block and cost gap, trace(G) - sum_{k<=H} ||y_k||_F^2 - trace(P),
-    are prefix sums of one triangular solve (see the drc module).  The gain
-    errors ||L_1^{(H)} - K||_2 of all orders come from one stacked norm call,
-    and each row's wall_ms is the 1/H_max share of that call's wall time.
+    are prefix sums of one forward substitution (see the drc module).  The
+    gain errors ||L_1^{(H)} - K||_2 of all orders come from one stacked norm
+    call, and each row's wall_ms is the 1/H_max share of that call's wall
+    time.
     """
     if H_max < 1:
         raise ValueError(f"H_max must be >= 1, got {H_max}")
@@ -308,11 +312,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("drc", help="solve for the optimal H-order controller")
     add_common(sp)
-    sp.add_argument("--h", type=int, required=True, metavar="H", help="controller order")
+    sp.add_argument("--h", type=_ranged(int, 1), required=True, metavar="H", help="controller order")
 
     sp = sub.add_parser("cost", help="optimal average cost, optionally vs an H-order controller")
     add_common(sp, dare=True)
-    sp.add_argument("--h", type=int, default=None, metavar="H", help="also price the optimal H-order controller")
+    sp.add_argument("--h", type=_ranged(int, 1), metavar="H", help="also price the optimal H-order controller")
 
     sp = sub.add_parser("sweep", help="H-sweep of gain/cost gaps against the certified bounds (CSV)")
     add_common(sp, dare=True)
@@ -321,16 +325,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="Monte-Carlo cost of the optimal gain (or DRC with --h)")
     add_common(sp, dare=True)
-    sp.add_argument("--h", type=int, default=None, metavar="H", help="simulate the optimal H-order controller")
+    sp.add_argument("--h", type=_ranged(int, 1), metavar="H", help="simulate the optimal H-order controller")
     sp.add_argument("--steps", type=int, default=200000, help="rollout length (default 200000)")
     sp.add_argument("--burn-in", type=_ranged(int, 0), default=1000, help="discarded prefix (default 1000)")
     # the seed keys numpy's Philox generator, whose keys lie below 2**128
     sp.add_argument("--seed", type=_ranged(int, 0, 2**128), default=0, help="noise seed (default 0)")
 
     sp = sub.add_parser("witness", help="covariance lower bound on the hard plant (no system file)")
-    sp.add_argument("--n", type=int, required=True, help="state dimension")
-    sp.add_argument("--h", type=int, required=True, metavar="H", help="controller order (1 <= H <= n)")
-    sp.add_argument("--t", type=int, required=True, help="time index (t >= H)")
+    sp.add_argument("--n", type=_ranged(int, 1), required=True, help="state dimension")
+    sp.add_argument("--h", type=_ranged(int, 1), required=True, metavar="H", help="controller order (1 <= H <= n)")
+    sp.add_argument("--t", type=_ranged(int, 1), required=True, help="time index (t >= H)")
     sp.add_argument("--seed", type=_ranged(int, 0), default=0, help="seed for the random policy")
 
     return p
@@ -392,13 +396,12 @@ def _cmd_cost(args) -> int:
 
 def _cmd_sweep(args) -> int:
     sys_, K0 = load_system_file(args.system, lax=args.lax)
-    result = run_sweep(sys_, args.h_max, K0=K0, tol=args.tol)
     if args.out is None:
-        write_csv(result, _sys.stdout)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            write_csv(result, fh)
-        log.info("wrote %d rows to %s", len(result.rows), args.out)
+        write_csv(run_sweep(sys_, args.h_max, K0=K0, tol=args.tol), _sys.stdout)
+        return 0
+    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        write_csv(run_sweep(sys_, args.h_max, K0=K0, tol=args.tol), fh)
+    log.info("wrote %d rows to %s", args.h_max, args.out)
     return 0
 
 
@@ -472,6 +475,10 @@ def dispatch(argv) -> int:
         args = parser.parse_args(argv)
         if args.command == "simulate" and args.steps <= args.burn_in:
             parser.error(f"argument --steps: must exceed --burn-in, got {args.steps} <= {args.burn_in}")
+        if args.command == "witness" and args.h > args.n:
+            parser.error(f"argument --h: must be <= --n, got {args.h} > {args.n}")
+        if args.command == "witness" and args.t < args.h:
+            parser.error(f"argument --t: must be >= --h, got {args.t} < {args.h}")
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:

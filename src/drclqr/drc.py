@@ -12,9 +12,9 @@ one symmetric positive-definite linear system
 
 where M and J are built from the plant, the weights, and the infinite-horizon
 Gramian G (see :func:`assemble` for the block formulas).  At the optimum
-the average cost is trace(G) - trace(J'M^{-1}J).  With the Cholesky factor
-M = U'U and y = U'^{-1}(-J), whose k-th block row y_k depends only on the
-leading k x k blocks of M and the first k blocks of J, this is the prefix
+the average cost is trace(G) - trace(J'M^{-1}J).  With the lower Cholesky
+factor M = LL' and y = L^{-1}(-J), whose k-th block row y_k depends only on
+the leading k x k blocks of M and the first k blocks of J, this is the prefix
 identity
 
     cost(H) = trace(G) - sum_{k<=H} ||y_k||_F^2 ,
@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidHorizon, NotPositiveDefinite, Unstable
-from .lyapunov import Gramian, _radius, _schur, _solve_schur
-from .model import LQRSystem
+from .lyapunov import Gramian, _smith
+from .model import LQRSystem, spectral_radius
 
 __all__ = [
     "DRCPolicy",
@@ -154,17 +154,18 @@ def assemble(sys: LQRSystem, G, H: int) -> DRCSystemMatrices:
     return DRCSystemMatrices(M=M, J=J.reshape(H * n_u, sys.n_x), H=H)
 
 
+_PANEL = 64  # rows per diagonal panel of the blocked forward substitution
+
+
 def _cholesky(M: np.ndarray) -> np.ndarray:
-    """Upper Cholesky factor U of the symmetric part of M, so that M = U'U.
+    """Lower Cholesky factor L of the symmetric part of M, so that M = LL'.
 
     A factorization failure raises :class:`NotPositiveDefinite` with a
     lambda_min estimate; there is no least-squares fallback, by design.
     """
-    from scipy.linalg import cholesky
-
     M = (M + M.T) / 2.0
     try:
-        return cholesky(M, check_finite=False)
+        return np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
         lam = float(np.linalg.eigvalsh(M)[0])
         raise NotPositiveDefinite(
@@ -173,48 +174,54 @@ def _cholesky(M: np.ndarray) -> np.ndarray:
         ) from exc
 
 
+def _forward(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """L^{-1} rhs for lower triangular L: per panel, one product with the rows solved and one dense solve."""
+    z = np.empty_like(rhs)
+    for i in range(0, L.shape[0], _PANEL):
+        j = i + _PANEL
+        z[i:j] = np.linalg.solve(L[i:j, i:j], rhs[i:j] - L[i:j, :i] @ z[:i])
+    return z
+
+
 def solve_drc(matrices: DRCSystemMatrices) -> DRCPolicy:
     """Solve M L = -J for the optimal order-H policy.
 
     M is positive definite under the standing assumption (its smallest
     eigenvalue is floored by that of the Schur complement R - S Q^{-1} S'),
-    so the solve is a Cholesky factorization.  A factorization failure means
-    an assumption was violated upstream and raises
-    :class:`NotPositiveDefinite` with a lambda_min estimate.
+    so the solve is a Cholesky factorization M = LL' and two forward
+    substitutions, the second on L' with rows and columns reversed.  A
+    factorization failure means an assumption was violated upstream and
+    raises :class:`NotPositiveDefinite` with a lambda_min estimate.
     """
-    from scipy.linalg import cho_solve
-
-    U = _cholesky(matrices.M)
-    L = cho_solve((U, False), -matrices.J, check_finite=False)
-    return DRCPolicy.from_stacked(L, matrices.H)
+    L = _cholesky(matrices.M)
+    z = _forward(L, -matrices.J)
+    X = np.ascontiguousarray(_forward(L.T[::-1, ::-1], z[::-1])[::-1])
+    return DRCPolicy.from_stacked(X, matrices.H)
 
 
 def solve_drc_orders(matrices: DRCSystemMatrices):
     """First blocks and optimal costs of every order H = 1..matrices.H.
 
     M_H is the leading principal block of M and J_H the leading block rows
-    of J, so one Cholesky factor M = U'U and one forward solve y = U'^{-1}(-J)
-    serve every order: the order-H solution is U_H^{-1} y_H.  U_H^{-1} is the
-    leading block of U^{-1}, so with R_k the k-th n_u x n_u block of the
-    first block row of U^{-1},
+    of J, so one Cholesky factor M = LL' and one forward substitution
+    y = L^{-1}(-J) serve every order: the order-H solution is L_H'^{-1} y_H.
+    L_H'^{-1} is the leading block of L'^{-1}, so with R_k the k-th
+    n_u x n_u block of the first block row of L'^{-1},
 
         L_1^{(H)} = sum_{k<=H} R_k y_k ,
 
     a prefix sum like the cost identity of the module docstring.  y and the
-    R_k come from one triangular solve.
+    R_k come from one forward substitution.
 
     Returns (first, saved): first[H-1] is L_1^{(H)} and saved[H-1] is
     sum_{k<=H} ||y_k||_F^2, what the optimal order-H DRC saves against
     trace(G).  An indefinite M raises :class:`NotPositiveDefinite`.
     """
-    from scipy.linalg import solve_triangular
-
-    U = _cholesky(matrices.M)
+    L = _cholesky(matrices.M)
     H, n_u = matrices.H, matrices.n_u
     n_x = matrices.J.shape[1]
-    # U'[y, R'] = [-J, E] with E the first n_u columns of the identity
-    rhs = np.hstack((-matrices.J, np.eye(H * n_u, n_u)))
-    z = solve_triangular(U, rhs, trans="T", check_finite=False)
+    # L [y, R'] = [-J, E] with E the first n_u columns of the identity
+    z = _forward(L, np.hstack((-matrices.J, np.eye(H * n_u, n_u))))
     y = z[:, :n_x].reshape(H, n_u, n_x)
     R = z[:, n_x:].reshape(H, n_u, n_u).transpose(0, 2, 1)
     first = np.cumsum(R @ y, axis=0)
@@ -253,12 +260,12 @@ def truncation_residual(sys: LQRSystem, G, K, H: int) -> list:
 
         W = -(A'GB + S') K,     Y = A'Y(A+BK) + W   (solved for Y),
 
-    block k equals  B' (A')^{H-k} Y (A+BK)^H.  The Sylvester solve is direct
-    (exact up to round-off), so this is the reference path; a brute-force
-    tail summation is kept in the test suite as the independent oracle.
+    block k equals  B' (A')^{H-k} Y (A+BK)^H.  The Sylvester solve sums Y to
+    working precision, so this is the reference path; a brute-force tail
+    summation is kept in the test suite as the independent oracle.
 
-    Requires A and A+BK both stable (the tail otherwise diverges); the check
-    reads each spectral radius off the Schur form the Sylvester solve uses.
+    Requires A and A+BK both stable (the tail otherwise diverges), which is
+    also what the Sylvester series needs.
     """
     if H < 1:
         raise InvalidHorizon(f"H must be >= 1, got {H}")
@@ -266,15 +273,13 @@ def truncation_residual(sys: LQRSystem, G, K, H: int) -> list:
     K = np.atleast_2d(np.asarray(K, dtype=float))
     A, B = sys.A, sys.B
     A_cl = A + B @ K
-    forms = []
     for name, M in (("A", A), ("A+BK", A_cl)):
-        forms.append(_schur(M))
-        sr = _radius(forms[-1])
+        sr = spectral_radius(M)
         if sr >= 1.0:
             raise Unstable(f"{name} has spectral radius {sr:.6g} >= 1; tail sum diverges")
 
     W = -(A.T @ Gm @ B + sys.S.T) @ K
-    Y = _solve_schur(*forms, W)
+    Y = _smith(A, A_cl, W)
 
     right = Y @ np.linalg.matrix_power(A_cl, H)
     blocks = [None] * H

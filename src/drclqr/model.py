@@ -35,7 +35,7 @@ strong-stability certificate of Cohen et al. (2018): with
 gamma = r + (1 - r)/2, r the spectral radius, P solves
 (M/gamma)' P (M/gamma) + I = P, and
 
-    tau = sqrt(cond(P)),   rho = -ln(gamma * sqrt(1 - 1/lambda_max(P))).
+    tau = sqrt(lambda_max(P)),   rho = -ln(gamma * sqrt(1 - 1/lambda_max(P))).
 
 The joint rate is then the smallest over all matrices, and every scanned
 matrix's tau is re-read from its stored norms at that rate (its scan still
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import AsymmetricMatrix, DimensionMismatch, NoConvergence, NotPositiveDefinite, Unstable
-from .lyapunov import solve_dsylvester
+from .lyapunov import solve_dsylvester, spectral_radius
 
 __all__ = [
     "LQRSystem",
@@ -206,16 +206,6 @@ def validate_system(sys: LQRSystem) -> ValidationReport:
     return report
 
 
-def spectral_radius(M) -> float:
-    """Largest eigenvalue modulus of a square matrix."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.shape[0] != M.shape[1]:
-        raise DimensionMismatch(f"spectral radius needs a square matrix, got {M.shape}")
-    if M.size == 1:
-        return abs(float(M[0, 0]))
-    return float(np.max(np.abs(np.linalg.eigvals(M))))
-
-
 @dataclass(frozen=True)
 class StabilityCertificate:
     """A pair (tau, rho) with ||M^k|| <= tau * exp(-rho*k) for every k >= 0.
@@ -226,8 +216,9 @@ class StabilityCertificate:
     the first m >= 1 with ||M^m|| e^{rho m} <= 1.  ``"lyapunov"``: at least
     one matrix had no certifying power within 10 000 and got the Lyapunov
     certificate instead; rho is then also capped by its rate and tau covers
-    its sqrt(cond(P)).  ``k_max`` is the largest certifying power over the
-    scanned matrices (0 when none closed).  tau >= 1 always (k = 0 forces it).
+    its sqrt(lambda_max(P)).  ``k_max`` is the largest certifying power over
+    the scanned matrices (0 when none closed).  tau >= 1 always (k = 0 forces
+    it).
     """
 
     tau: float
@@ -298,18 +289,22 @@ def _lyapunov_certificate(M: np.ndarray, radius: float) -> tuple[float, float]:
     """(tau, rho) from P = (M/gamma)' P (M/gamma) + I, gamma = r + (1 - r)/2.
 
     M'PM = gamma^2 (P - I) <= q^2 P with q = gamma sqrt(1 - 1/lambda_max(P)),
-    so M contracts the P-norm by q and ||M^k|| <= sqrt(cond(P)) q^k.
+    so M contracts the P-norm by q, and since P >= I,
+
+        ||M^k x||^2 <= (M^k x)' P (M^k x) <= q^{2k} lambda_max(P) ||x||^2 ,
+
+    that is ||M^k|| <= sqrt(lambda_max(P)) q^k.
     """
     gamma = radius + _LYAPUNOV_SLACK * (1.0 - radius)
     scaled = M / gamma
     P = solve_dsylvester(scaled, scaled, np.eye(M.shape[0]))
-    eig = np.linalg.eigvalsh((P + P.T) / 2.0)
-    if not (np.all(np.isfinite(eig)) and eig[0] > 0.0):
+    lam = float(np.linalg.eigvalsh((P + P.T) / 2.0)[-1])
+    if not np.isfinite(lam):
         raise NoConvergence(
             f"power scan found no certifying power within {_SCAN_CAP} and the Lyapunov "
-            f"fallback is not positive definite (lambda_min = {eig[0]:.3e})"
+            f"fallback is not finite (lambda_max = {lam:.3e})"
         )
-    return float(np.sqrt(eig[-1] / eig[0])), -float(np.log(gamma * np.sqrt(1.0 - 1.0 / eig[-1])))
+    return float(np.sqrt(lam)), -float(np.log(gamma * np.sqrt(1.0 - 1.0 / lam)))
 
 
 def _certify(matrices) -> StabilityCertificate:

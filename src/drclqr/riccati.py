@@ -36,8 +36,9 @@ fixed-point steps, so a solve that has not stopped by then never will.  The
 doubling carries round-off of up to ~1e-12 relative on near-marginal plants,
 so one Newton (Hewer) step follows: P is re-solved as the cost of the gain
 it defines, one Stein solve.  Gain and residual come from one Riccati step
-at that P, whose inner solve uses a Cholesky factorization of R + B'PB; if
-that factorization (or R's own) fails the standing positive-definiteness
+at that P.  A Cholesky factorization checks that its inner matrix R + B'PB
+(and, before the doubling, R itself) is positive definite, and a plain solve
+follows; if a factorization fails the standing positive-definiteness
 assumption has been violated somewhere upstream and we raise rather than
 regularize.
 """
@@ -73,18 +74,21 @@ class RiccatiSolution:
         return float(np.trace(self.P))
 
 
+def _check_pd(name: str, M: np.ndarray):
+    """Raise :class:`SingularInnerSolve` unless M has a Cholesky factor."""
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
+        raise SingularInnerSolve(f"{name} is not positive definite: {exc}") from exc
+
+
 def _dare_step(sys: LQRSystem, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One Riccati iteration; returns (P_next, K) for the current P."""
-    from scipy.linalg import cho_factor, cho_solve
-
     inner = sys.R + sys.B.T @ P @ sys.B
     inner = (inner + inner.T) / 2.0
-    try:
-        chol = cho_factor(inner, check_finite=False)
-    except np.linalg.LinAlgError as exc:  # scipy.linalg.LinAlgError is the same class
-        raise SingularInnerSolve(f"R + B'PB is not positive definite: {exc}") from exc
+    _check_pd("R + B'PB", inner)
     rhs = sys.B.T @ P @ sys.A + sys.S
-    K = -cho_solve(chol, rhs, check_finite=False)
+    K = -np.linalg.solve(inner, rhs)
     P_next = sys.A.T @ P @ sys.A + rhs.T @ K + sys.Q
     return (P_next + P_next.T) / 2.0, K
 
@@ -108,15 +112,10 @@ def solve_dare(sys: LQRSystem, tol: float = 1e-12) -> RiccatiSolution:
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-    from scipy.linalg import cho_factor, cho_solve
-
-    try:
-        chol = cho_factor(sys.R, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SingularInnerSolve(f"R is not positive definite: {exc}") from exc
-    R_inv_S = cho_solve(chol, sys.S, check_finite=False)
+    _check_pd("R", sys.R)
+    R_inv_S, R_inv_Bt = np.hsplit(np.linalg.solve(sys.R, np.hstack((sys.S, sys.B.T))), [sys.n_x])
     A = sys.A - sys.B @ R_inv_S
-    G = sys.B @ cho_solve(chol, sys.B.T, check_finite=False)
+    G = sys.B @ R_inv_Bt
     G = (G + G.T) / 2.0
     H = sys.Q - sys.S.T @ R_inv_S
     H = (H + H.T) / 2.0

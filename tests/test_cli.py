@@ -320,6 +320,15 @@ class TestDispatch:
             ["simulate", str(DEMO_PATH), "--burn-in", "-1"],
             ["simulate", str(DEMO_PATH), "--steps", "2000", "--burn-in", "100", "--seed", "-1"],
             ["witness", "--n", "4", "--h", "3", "--t", "12", "--seed", "-1"],
+            ["drc", str(DEMO_PATH), "--h", "0"],
+            ["cost", str(DEMO_PATH), "--h", "0"],
+            ["cost", str(DEMO_PATH), "--h", "-1"],
+            ["simulate", str(DEMO_PATH), "--h", "0"],
+            ["witness", "--n", "0", "--h", "1", "--t", "12"],
+            ["witness", "--n", "4", "--h", "0", "--t", "12"],
+            ["witness", "--n", "4", "--h", "3", "--t", "0"],
+            ["witness", "--n", "4", "--h", "5", "--t", "12"],
+            ["witness", "--n", "4", "--h", "3", "--t", "2"],
         ],
     )
     def test_out_of_range_counts_are_usage_errors(self, argv, capsys):
@@ -356,6 +365,21 @@ class TestDispatch:
         assert_one_error_line(captured)
         assert "FileNotFoundError" in captured.err
         assert not out_path.parent.exists()
+
+    def test_out_is_opened_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        def failing_sweep(*args, **kwargs):
+            raise d.Unstable("stand-in failure")
+
+        monkeypatch.setattr(d.cli, "run_sweep", failing_sweep)
+        missing = tmp_path / "missing_dir" / "x.csv"
+        assert dispatch(["sweep", str(DEMO_PATH), "--out", str(missing)]) == 1
+        assert "FileNotFoundError" in capsys.readouterr().err
+        # a sweep that fails once --out is open leaves the file empty
+        out_path = tmp_path / "x.csv"
+        out_path.write_text("stale", encoding="utf-8")
+        assert dispatch(["sweep", str(DEMO_PATH), "--out", str(out_path)]) == 1
+        assert "stand-in failure" in capsys.readouterr().err
+        assert out_path.read_text(encoding="utf-8") == ""
 
     def test_parser_reuse_leaks_nothing(self, tmp_path, capsys, monkeypatch):
         out_path = tmp_path / "sweep.csv"
@@ -422,12 +446,18 @@ class TestDispatch:
         assert "RuntimeWarning" not in proc.stderr
 
     def test_import_and_validate_need_no_scipy(self):
+        # every subcommand, with scipy import-blocked: the runtime is numpy alone
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         script = (
-            "import sys, drclqr; from drclqr.cli import dispatch; "
-            f"rc = dispatch(['validate', {str(DEMO_PATH)!r}]); "
-            "assert rc == 0, rc; assert 'scipy' not in sys.modules, 'scipy imported'"
+            "import sys; sys.modules['scipy'] = None\n"
+            "from drclqr.cli import dispatch\n"
+            f"demo = {str(DEMO_PATH)!r}\n"
+            "for argv in (['validate', demo], ['dare', demo], ['drc', demo, '--h', '3'], "
+            "['cost', demo, '--h', '3'], ['sweep', demo, '--h-max', '3'], "
+            "['simulate', demo, '--h', '2', '--steps', '2000', '--burn-in', '100'], "
+            "['witness', '--n', '4', '--h', '3', '--t', '12']):\n"
+            "    assert dispatch(argv) == 0, argv\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr

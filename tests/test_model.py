@@ -140,7 +140,7 @@ class TestEstimateCertificate:
             assert 0.0 < cert.rho < -0.99 * np.log(0.999)
             assert_envelope(cert, J)
 
-    @pytest.mark.parametrize("n, lam", [(6, 0.9), (6, 0.99), (10, 0.5)])
+    @pytest.mark.parametrize("n, lam", [(6, 0.9), (6, 0.99), (10, 0.5), (10, 0.99)])
     def test_jordan_envelope_holds_beyond_the_scan(self, n, lam):
         # for J_6 a scan stopping at ||J^k|| <= 1e-12 (k = 519 and 6658) leaves
         # the envelope broken at every k from 520 to 3114 and from 6659 on; the
@@ -152,6 +152,18 @@ class TestEstimateCertificate:
             assert_envelope(cert, J)
             assert cert.method == "lyapunov"
             assert np.isfinite(cert.tau)
+
+
+    @pytest.mark.parametrize("n, lam, tau_proof", [(6, 0.99, 3.83e11), (10, 0.9, 5.53e11)])
+    def test_lyapunov_tau_covers_the_exact_proof_constant(self, n, lam, tau_proof):
+        # tau_proof is sqrt(cond(P)) for the fallback's P solved in 80-digit
+        # arithmetic (mpmath, Kronecker form): 3.8396e11 for J_6(0.99) and
+        # 5.5377e11 for J_10(0.9).  Any sound tau from P is at least that; a
+        # lambda_min(P) read in floating point came out too large and gave
+        # 2.18e11 and 2.68e11.
+        cert = d.estimate_certificate(lam * np.eye(n) + np.eye(n, k=1))
+        assert cert.method == "lyapunov"
+        assert cert.tau >= tau_proof
 
 
 class TestJointCertificate:

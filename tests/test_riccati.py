@@ -144,7 +144,7 @@ def test_doubling_cap_raises_no_convergence(demo_system, monkeypatch):
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
 def test_tol_must_be_finite_and_positive(demo_system, tol, monkeypatch):
-    # a missing scipy.linalg shows the check runs before the solver loads it
+    # the check comes first, and neither it nor the solver needs scipy.linalg
     monkeypatch.setitem(sys.modules, "scipy.linalg", None)
     with pytest.raises(ValueError, match="tol must be finite and > 0"):
         d.solve_dare(demo_system, tol=tol)
