@@ -49,7 +49,6 @@ from .exceptions import (
     NotPositiveDefinite,
     NotStabilizing,
     ParseError,
-    Singular,
     SingularInnerSolve,
     SingularPencil,
     Unstable,
@@ -89,7 +88,6 @@ __all__ = [
     "ParseError",
     "PrestabilizedSystem",
     "RiccatiSolution",
-    "Singular",
     "SingularInnerSolve",
     "SingularPencil",
     "StabilityCertificate",

@@ -33,7 +33,7 @@ import numpy as np
 
 from .cost import drc_state_covariance
 from .drc import DRCPolicy
-from .exceptions import InvalidHorizon, NotPositiveDefinite, Singular
+from .exceptions import InvalidHorizon, NotPositiveDefinite
 from .model import LQRSystem, StabilityCertificate, spectral_norm
 
 __all__ = [
@@ -97,18 +97,25 @@ class BoundInputs:
 
 
 def schur_lambda_min(sys: LQRSystem) -> float:
-    """lambda_min(R - S Q^{-1} S').
+    """lambda_min(R - S Q^{-1} S'), read off the Cholesky factor of the joint weight.
 
-    Never smaller than lambda_min of the joint weight block, so it is
-    positive for every accepted system; it floors lambda_min(M) for every
-    assembled DRC system matrix, which is what puts it in the denominator of
-    the gain gap bound.
+    With W = [[Q, S'], [S, R]] = LL' and L = [[L11, 0], [L21, L22]],
+    R - S Q^{-1} S' = L22 L22' exactly, so Q is never inverted.  The floor is
+    at least lambda_min(W) > 0 and floors lambda_min(M) of every assembled
+    DRC system matrix, hence its place in the gain gap bound's denominator.
+    A W without a Cholesky factor raises :class:`NotPositiveDefinite` with
+    lambda_min(W): at the round-off edge, lambda_min(W) below about
+    eps ||W||, so can a W that :func:`validate_system` accepted.
     """
-    eigs_Q = np.linalg.eigvalsh(sys.Q)
-    if eigs_Q[0] <= 1e-14 * max(1.0, float(eigs_Q[-1])):
-        raise Singular(f"Q is numerically singular (lambda_min = {eigs_Q[0]:.3e})")
-    schur = sys.R - sys.S @ np.linalg.solve(sys.Q, sys.S.T)
-    return float(np.linalg.eigvalsh((schur + schur.T) / 2.0)[0])
+    W = sys.joint_weight()
+    try:
+        L22 = np.linalg.cholesky(W)[sys.n_x :, sys.n_x :]
+    except np.linalg.LinAlgError as exc:
+        lam = float(np.linalg.eigvalsh(W)[0])
+        raise NotPositiveDefinite(
+            f"joint weight block is not positive definite (lambda_min ~ {lam:.6g})", lambda_min=lam
+        ) from exc
+    return float(np.linalg.eigvalsh(L22 @ L22.T)[0])
 
 
 def gain_gap_bound(inp: BoundInputs, H: int) -> float:

@@ -47,11 +47,7 @@ class SingularInnerSolve(DrclqrError):
 
 
 class SingularPencil(DrclqrError):
-    """The Sylvester equation has no unique solution (eigenvalue product hits 1)."""
-
-
-class Singular(DrclqrError):
-    """A matrix that must be invertible is singular to working precision."""
+    """The Stein series of A'XB + C = X diverges: rho(A) rho(B) >= 1."""
 
 
 class InvalidHorizon(DrclqrError):

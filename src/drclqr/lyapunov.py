@@ -11,7 +11,9 @@ doubling (Smith 1968, SIAM J. Appl. Math.): from X_0 = C, A_0 = A, B_0 = B,
 so X_j holds 2^j terms and the tail X - X_j = A_j' X B_j is at most q ||X||_F
 with q = ||A_j||_F ||B_j||_F.  Once q < 1 and q/(1 - q) <= eps, X_j is thus
 within eps ||X_j||_F of X and the kernel stops; a kernel that has not stopped
-within ``_DOUBLING_CAP`` steps raises :class:`NoConvergence`.
+within ``_DOUBLING_CAP`` steps raises :class:`NoConvergence`.  rho(A) rho(B)
+< 1, compared with 1 and no margin, is the one acceptance rule; at 1 - delta
+the kernel takes about log2(1/delta) + 5 steps, 58 at the last double below 1.
 
 :func:`spectral_radius` lives here, the lowest layer that needs it, and is
 exported through :mod:`drclqr.model`, which imports this module.
@@ -26,9 +28,6 @@ import numpy as np
 from .exceptions import DimensionMismatch, NoConvergence, SingularPencil, Unstable
 
 __all__ = ["Gramian", "gramian", "solve_dsylvester"]
-
-# rho(A) rho(B) at or above 1 - PENCIL_TOL: the Stein series does not converge.
-PENCIL_TOL = 1e-10
 
 # Doubling steps before NoConvergence; step j covers 2^j terms of the series.
 _DOUBLING_CAP = 64
@@ -101,10 +100,10 @@ def solve_dsylvester(A, B, C) -> np.ndarray:
     X = sum_{k>=0} (A^k)' C B^k by Smith's doubling, with A and B first
     scaled by reciprocal powers of two to even out their spectral radii: the
     terms are unchanged, but neither side's squares overflow while the
-    other's vanish.  Raises :class:`SingularPencil` unless rho(A) rho(B) <
-    1 - ``PENCIL_TOL``, with one eigenvalue pass per distinct matrix: a
-    pencil with rho(A) rho(B) > 1 and no eigenvalue product equal to 1 has a
-    unique solution, but no convergent series, and is refused.
+    other's vanish.  Raises :class:`SingularPencil` exactly when the series
+    diverges, rho(A) rho(B) >= 1 (one eigenvalue pass per distinct matrix),
+    so a pencil with no eigenvalue product equal to 1 but rho(A) rho(B) > 1
+    is refused although it has a unique solution.
     """
     same = B is A
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -117,10 +116,9 @@ def solve_dsylvester(A, B, C) -> np.ndarray:
         )
     ra = spectral_radius(A)
     rb = ra if same else spectral_radius(B)
-    if ra * rb >= 1.0 - PENCIL_TOL:
+    if ra * rb >= 1.0:
         raise SingularPencil(
-            f"rho(A) rho(B) = {ra * rb:.6g} is not below 1 - {PENCIL_TOL:g}; "
-            f"the series solving A'XB + C = X does not converge"
+            f"rho(A) rho(B) = {ra * rb:.6g} >= 1; the series solving A'XB + C = X does not converge"
         )
     if not same and ra > 0.0 and rb > 0.0:
         s = 2.0 ** round(float(np.log2(rb) - np.log2(ra)) / 2.0)

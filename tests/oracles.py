@@ -2,7 +2,7 @@
 
 Everything here deliberately takes a different computational route from the
 package: value iteration and scipy's QZ solver instead of the doubling DARE
-solver, Kronecker and plain series summation instead of the Schur solver,
+solver, Kronecker and plain series summation instead of Smith doubling,
 brute-force tail summation instead of the Sylvester closed form, power growth
 instead of eigenvalues, fresh matrix powers instead of a running product, the
 O(H^2)-block direct formulas instead of the block-Toeplitz assembly, a

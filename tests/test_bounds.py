@@ -62,9 +62,11 @@ class TestSchurLambdaMin:
             assert d.schur_lambda_min(sys_) >= lam_joint - 1e-10
 
     def test_singular_q_rejected(self):
+        # Q = 0 leaves the joint block singular: the standing assumption fails
         sys_ = d.LQRSystem(A=[[0.0]], B=[[1.0]], Q=[[0.0]], R=[[1.0]], S=[[0.0]])
-        with pytest.raises(d.Singular):
+        with pytest.raises(d.NotPositiveDefinite) as exc:
             d.schur_lambda_min(sys_)
+        assert exc.value.lambda_min == 0.0
 
 
 class TestGainGapBound:

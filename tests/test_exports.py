@@ -2,6 +2,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -38,3 +39,20 @@ def test_no_model_lyapunov_import_cycle():
         if isinstance(n, (ast.Import, ast.ImportFrom))
     ]
     assert not local
+
+
+def test_every_public_exception_is_raised_somewhere():
+    # a public exception must not outlive its last raise site: each one is
+    # called (instantiated) somewhere in the package source
+    exceptions = {
+        name
+        for name in d.__all__
+        if isinstance(getattr(d, name), type) and issubclass(getattr(d, name), d.DrclqrError)
+    } - {"DrclqrError"}
+    called = set()
+    for path in Path(d.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    assert exceptions and not sorted(exceptions - called)

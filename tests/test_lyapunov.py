@@ -196,7 +196,7 @@ def identity_input_system(A):
 
 
 @pytest.mark.parametrize("radius", [1.0, 1.0001])
-class TestUnstableFromSchurDiagonal:
+class TestUnstableFromSpectralRadius:
     def test_gramian(self, radius):
         with pytest.raises(d.Unstable, match="spectral radius"):
             d.gramian(triangular(radius), np.eye(2))
