@@ -33,7 +33,7 @@ import numpy as np
 
 from .cost import drc_state_covariance
 from .drc import DRCPolicy
-from .exceptions import InvalidHorizon, NotPositiveDefinite
+from .exceptions import InvalidHorizon, NonFinite, NotPositiveDefinite
 from .model import LQRSystem, StabilityCertificate, spectral_norm
 
 __all__ = [
@@ -215,7 +215,9 @@ def instability_witness(n: int, H: int, policy: DRCPolicy, t: int):
     On this plant e_1' A^j B = (A^j)[0, n-1] = C(j, n-1) 2^{j-n+1}, which is
     exactly 0 while the exponent j stays <= n - 2, so every H < n qualifies;
     at H = n the k = 1 term is 1, an edge the caller accepts when asking for
-    the maximal order (n = 1 being the extreme case).
+    the maximal order (n = 1 being the extreme case).  Both sides grow like
+    4^t and leave the double range near t = 500; a non-finite bound or
+    covariance raises :class:`NonFinite` with ``step`` = t.
     """
     bound, holds, _ = _witness(n, H, policy, t)
     return bound, holds
@@ -239,19 +241,23 @@ def _witness(n: int, H: int, policy: DRCPolicy, t: int):
     sys = witness_plant(n)
     A = sys.A
 
-    power = np.eye(n)  # walks through A^0 .. A^H
-    for _ in range(H):
-        power = power @ A
-    c = float(power[0, :] @ power[0, :])  # e_1' A^H (A^H)' e_1
+    # both sides grow like 4^t: an overflow is reported below, never compared
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = np.eye(n)  # walks through A^0 .. A^H
+        for _ in range(H):
+            power = power @ A
+        c = float(power[0, :] @ power[0, :])  # e_1' A^H (A^H)' e_1
 
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    bound = np.zeros((n, n))
-    v = e1
-    for _ in range(H, t + 1):
-        bound += np.outer(v, v)
-        v = A @ v
-    bound *= c
+        e1 = np.zeros(n)
+        e1[0] = 1.0
+        bound = np.zeros((n, n))
+        v = e1
+        for _ in range(H, t + 1):
+            bound += np.outer(v, v)
+            v = A @ v
+        bound *= c
 
-    cov = drc_state_covariance(sys, policy, t + 1)
+        cov = drc_state_covariance(sys, policy, t + 1)
+    if not (np.all(np.isfinite(bound)) and np.all(np.isfinite(cov))):
+        raise NonFinite(f"witness covariance or bound overflowed by t={t}", step=t)
     return bound, bool(cov[0, 0] >= bound[0, 0] - WITNESS_TOL), cov

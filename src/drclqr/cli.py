@@ -1,7 +1,8 @@
 """File ingestion, the H-sweep experiment, and the command-line interface.
 
 System files are strict JSON: keys "A", "B", "Q", "R", "S" (optionally "K0"),
-each a row-major array of arrays of finite numbers.  Unknown keys are
+each a row-major array of arrays of finite JSON numbers (a string, a boolean
+or an integer beyond the double range is refused).  Unknown keys are
 rejected unless --lax is passed, so a typo'd weight name cannot silently turn
 into a default.
 
@@ -23,11 +24,11 @@ no row.
 
 Exit codes: 0 success, 1 domain error (bad math, bad file, an --out path that
 cannot be written), 2 usage error.  Out-of-range numbers (--h or --h-max below
-1, a negative --burn-in or --seed, a simulate --seed of 2**128 or more, a --tol
-that is not finite and positive, --steps not above --burn-in, a witness --n,
---h or --t below 1, a witness --h above --n or a --t below --h) are usage
-errors.  sweep opens --out before it solves anything, so an unwritable path
-fails at once; a sweep that fails after that point leaves the file empty.
+1, a negative --burn-in or --seed, a simulate --seed of 2**128 or more,
+--steps not above --burn-in, a witness --n, --h or --t below 1, a witness --h
+above --n or a --t below --h) are usage errors.  sweep opens --out before it
+solves anything, so an unwritable path fails at once; a sweep that fails
+after that point leaves the file empty.
 The argument parser is built once per process: repeated dispatch calls in
 one interpreter share it, and each parse fills a fresh namespace.
 Set DRC_LQR_LOG to error|info|debug to control diagnostics on stderr; the
@@ -96,12 +97,15 @@ def _reject_constant(token):
 def _parse_matrix(key: str, value) -> np.ndarray:
     if not isinstance(value, list) or not value or not all(isinstance(r, list) for r in value):
         raise ParseError(f"field {key!r} must be a non-empty array of arrays")
+    for entry in (x for row in value for x in row):
+        if isinstance(entry, bool) or not isinstance(entry, (int, float)):
+            raise ParseError(f"field {key!r} has entry {entry!r}, which is not a JSON number")
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"field {key!r} is not a rectangular numeric matrix: {exc}") from exc
-    if arr.ndim != 2:
-        raise ParseError(f"field {key!r} must be two-dimensional, got shape {arr.shape}")
+    except OverflowError as exc:
+        raise ParseError(f"field {key!r} has an integer too large for a float") from exc
+    except ValueError as exc:
+        raise ParseError(f"field {key!r} is not a rectangular matrix: {exc}") from exc
     if not np.all(np.isfinite(arr)):
         raise ParseError(f"field {key!r} contains non-finite entries")
     return arr
@@ -133,11 +137,16 @@ def load_system_file(path, lax: bool = False):
     K0 = None
     if "K0" in doc:
         K0 = _parse_matrix("K0", doc["K0"])
-        if K0.shape != (sys_.n_u, sys_.n_x):
-            raise DimensionMismatch(
-                f"field 'K0' has shape {K0.shape}, expected {(sys_.n_u, sys_.n_x)}"
-            )
+        _check_k0(sys_, K0)
     return sys_, K0
+
+
+def _check_k0(sys_: LQRSystem, K0: np.ndarray):
+    """Raise :class:`DimensionMismatch` unless K0 is a finite n_u x n_x gain."""
+    if K0.shape != (sys_.n_u, sys_.n_x):
+        raise DimensionMismatch(f"field 'K0' has shape {K0.shape}, expected {(sys_.n_u, sys_.n_x)}")
+    if not np.all(np.isfinite(K0)):
+        raise DimensionMismatch("field 'K0' contains non-finite entries")
 
 
 def load_system(path, lax: bool = False) -> LQRSystem:
@@ -149,11 +158,15 @@ def save_system(sys_: LQRSystem, path, K0=None):
     """Write a system file that re-loads bit-identically.
 
     json serializes floats via repr, which round-trips every finite double
-    exactly, so load(save(sys)) compares equal entry for entry.
+    exactly, so load(save(sys)) compares equal entry for entry.  A K0 the
+    loader would refuse (wrong shape, non-finite entries) raises
+    :class:`DimensionMismatch` before the file is opened.
     """
     doc = {k: getattr(sys_, k).tolist() for k in _REQUIRED_KEYS}
     if K0 is not None:
-        doc["K0"] = np.atleast_2d(np.asarray(K0, dtype=float)).tolist()
+        K0 = np.atleast_2d(np.asarray(K0, dtype=float))
+        _check_k0(sys_, K0)
+        doc["K0"] = K0.tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
@@ -196,7 +209,7 @@ def _fit_slope(rows) -> float:
     return float(np.polyfit(hs, es, 1)[0])
 
 
-def run_sweep(sys_: LQRSystem, H_max: int, K0=None, tol: float = 1e-12) -> SweepResult:
+def run_sweep(sys_: LQRSystem, H_max: int, K0=None) -> SweepResult:
     """Measure gain-gap and cost-gap decay for H = 1..H_max against the bounds.
 
     On an unstable plant a pre-stabilizing K0 is required; all quantities
@@ -220,7 +233,7 @@ def run_sweep(sys_: LQRSystem, H_max: int, K0=None, tol: float = 1e-12) -> Sweep
     elif spectral_radius(sys_.A) >= 1.0:
         raise Unstable("A has spectral radius >= 1; a pre-stabilizing K0 is required")
 
-    sol = solve_dare(work, tol=tol)
+    sol = solve_dare(work)
     log.info("DARE solved: %d doubling steps, residual %.3e", sol.iterations, sol.residual_norm)
     G = gramian(work.A, work.Q)
     cert = joint_certificate(work.A, work.A + work.B @ sol.K)
@@ -266,21 +279,17 @@ def write_csv(result: SweepResult, stream):
 # Command dispatch
 # ---------------------------------------------------------------------------
 
-def _ranged(kind, low, high=None, strict=False):
-    """An argparse type: a ``kind`` value >= low (> low if strict) and < high.
-
-    A value out of range (NaN included) is rejected as a usage error.
-    """
+def _ranged(low, high=None):
+    """An argparse type: an int >= low and < high, else a usage error."""
 
     def parse(text: str):
-        value = kind(text)
-        above = value > low if strict else value >= low
-        if not (above and (high is None or value < high)):
-            wanted = f"{'>' if strict else '>='} {low}" + ("" if high is None else f" and < {high}")
+        value = int(text)
+        if not (value >= low and (high is None or value < high)):
+            wanted = f">= {low}" + ("" if high is None else f" and < {high}")
             raise argparse.ArgumentTypeError(f"must be {wanted}, got {value}")
         return value
 
-    parse.__name__ = kind.__name__  # argparse names the type in its "invalid <type> value" message
+    parse.__name__ = "int"  # argparse names the type in its "invalid <type> value" message
     return parse
 
 
@@ -293,49 +302,42 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, dare=False):
+    def add_common(sp):
         sp.add_argument("system", help="path to a JSON system file")
         sp.add_argument("--lax", action="store_true", help="ignore unknown keys in the system file")
-        if dare:
-            sp.add_argument(
-                "--tol",
-                type=_ranged(float, 0.0, float("inf"), strict=True),
-                default=1e-12,
-                help="relative accuracy target of the DARE solution (default 1e-12)",
-            )
 
     sp = sub.add_parser("validate", help="check the standing positive-definiteness assumption")
     add_common(sp)
 
     sp = sub.add_parser("dare", help="solve the Riccati equation, print the optimal gain")
-    add_common(sp, dare=True)
+    add_common(sp)
 
     sp = sub.add_parser("drc", help="solve for the optimal H-order controller")
     add_common(sp)
-    sp.add_argument("--h", type=_ranged(int, 1), required=True, metavar="H", help="controller order")
+    sp.add_argument("--h", type=_ranged(1), required=True, metavar="H", help="controller order")
 
     sp = sub.add_parser("cost", help="optimal average cost, optionally vs an H-order controller")
-    add_common(sp, dare=True)
-    sp.add_argument("--h", type=_ranged(int, 1), metavar="H", help="also price the optimal H-order controller")
+    add_common(sp)
+    sp.add_argument("--h", type=_ranged(1), metavar="H", help="also price the optimal H-order controller")
 
     sp = sub.add_parser("sweep", help="H-sweep of gain/cost gaps against the certified bounds (CSV)")
-    add_common(sp, dare=True)
-    sp.add_argument("--h-max", type=_ranged(int, 1), default=30, help="largest controller order (default 30)")
+    add_common(sp)
+    sp.add_argument("--h-max", type=_ranged(1), default=30, help="largest controller order (default 30)")
     sp.add_argument("--out", default=None, help="write CSV here instead of stdout")
 
     sp = sub.add_parser("simulate", help="Monte-Carlo cost of the optimal gain (or DRC with --h)")
-    add_common(sp, dare=True)
-    sp.add_argument("--h", type=_ranged(int, 1), metavar="H", help="simulate the optimal H-order controller")
+    add_common(sp)
+    sp.add_argument("--h", type=_ranged(1), metavar="H", help="simulate the optimal H-order controller")
     sp.add_argument("--steps", type=int, default=200000, help="rollout length (default 200000)")
-    sp.add_argument("--burn-in", type=_ranged(int, 0), default=1000, help="discarded prefix (default 1000)")
+    sp.add_argument("--burn-in", type=_ranged(0), default=1000, help="discarded prefix (default 1000)")
     # the seed keys numpy's Philox generator, whose keys lie below 2**128
-    sp.add_argument("--seed", type=_ranged(int, 0, 2**128), default=0, help="noise seed (default 0)")
+    sp.add_argument("--seed", type=_ranged(0, 2**128), default=0, help="noise seed (default 0)")
 
     sp = sub.add_parser("witness", help="covariance lower bound on the hard plant (no system file)")
-    sp.add_argument("--n", type=_ranged(int, 1), required=True, help="state dimension")
-    sp.add_argument("--h", type=_ranged(int, 1), required=True, metavar="H", help="controller order (1 <= H <= n)")
-    sp.add_argument("--t", type=_ranged(int, 1), required=True, help="time index (t >= H)")
-    sp.add_argument("--seed", type=_ranged(int, 0), default=0, help="seed for the random policy")
+    sp.add_argument("--n", type=_ranged(1), required=True, help="state dimension")
+    sp.add_argument("--h", type=_ranged(1), required=True, metavar="H", help="controller order (1 <= H <= n)")
+    sp.add_argument("--t", type=_ranged(1), required=True, help="time index (t >= H)")
+    sp.add_argument("--seed", type=_ranged(0), default=0, help="seed for the random policy")
 
     return p
 
@@ -354,7 +356,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_dare(args) -> int:
     sys_ = load_system(args.system, lax=args.lax)
-    sol = solve_dare(sys_, tol=args.tol)
+    sol = solve_dare(sys_)
     print(f"K= {_fmt_matrix(sol.K)}")
     print(f"trace_P= {_fmt(sol.trace_P)}")
     print(f"residual= {_fmt(sol.residual_norm)}")
@@ -382,7 +384,7 @@ def _cmd_drc(args) -> int:
 
 def _cmd_cost(args) -> int:
     sys_ = load_system(args.system, lax=args.lax)
-    sol = solve_dare(sys_, tol=args.tol)
+    sol = solve_dare(sys_)
     gain_cost = cost_of_gain(sys_, sol.K).value
     print(f"trace_P= {_fmt(sol.trace_P)}")
     print(f"cost_gain= {_fmt(gain_cost)}")
@@ -397,10 +399,10 @@ def _cmd_cost(args) -> int:
 def _cmd_sweep(args) -> int:
     sys_, K0 = load_system_file(args.system, lax=args.lax)
     if args.out is None:
-        write_csv(run_sweep(sys_, args.h_max, K0=K0, tol=args.tol), _sys.stdout)
+        write_csv(run_sweep(sys_, args.h_max, K0=K0), _sys.stdout)
         return 0
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        write_csv(run_sweep(sys_, args.h_max, K0=K0, tol=args.tol), fh)
+        write_csv(run_sweep(sys_, args.h_max, K0=K0), fh)
     log.info("wrote %d rows to %s", args.h_max, args.out)
     return 0
 
@@ -408,7 +410,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_simulate(args) -> int:
     sys_ = load_system(args.system, lax=args.lax)
     if args.h is None:
-        controller = solve_dare(sys_, tol=args.tol).K
+        controller = solve_dare(sys_).K
         label = "gain"
     else:
         _, _, controller = _solved_policy(sys_, args.h)

@@ -201,6 +201,16 @@ class TestInstabilityWitness:
                         assert cov[0, 0] >= bound[0, 0] - 1e-8
                         assert holds
 
+    @pytest.mark.parametrize("t", [500, 600])
+    def test_overflow_raises_non_finite(self, t):
+        # the covariance overflows by t = 500 and the bound from t ~ 515;
+        # inf >= inf would report a verdict on no numbers at all
+        rng = default_rng(0)
+        policy = d.DRCPolicy(blocks=tuple(rng.uniform(-1.0, 1.0, (1, 4)) for _ in range(3)))
+        with pytest.raises(d.NonFinite) as exc:
+            d.instability_witness(4, 3, policy, t)
+        assert exc.value.step == t
+
     def test_trace_blows_up_geometrically(self):
         rng = default_rng(8)
         policy = d.DRCPolicy(blocks=tuple(rng.uniform(-1, 1, size=(1, 4)) for _ in range(4)))

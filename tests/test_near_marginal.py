@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 
@@ -123,6 +123,12 @@ class TestNearMarginalProperties:
     @given(log_ratio=st.floats(-15.5, -14.0), n=st.integers(2, 6), m=st.integers(1, 3), seed=seeds)
     def test_near_singular_q_floor_is_lambda_min_r(self, log_ratio, n, m, seed):
         sys_ = near_singular_q_system(default_rng(seed), n, log_ratio, m)
-        d.validate_system(sys_)
+        try:
+            d.validate_system(sys_)
+        except d.NotPositiveDefinite:
+            # near 10^-15.5, lambda_min(Q) is below eps ||Q|| and the joint
+            # floor can round to <= 0: the assumption's own refusal, outside
+            # the property
+            reject()
         expected = float(np.linalg.eigvalsh(sys_.R)[0])
         assert d.schur_lambda_min(sys_) == pytest.approx(expected, rel=1e-12)
