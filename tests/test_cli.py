@@ -365,6 +365,15 @@ class TestDispatch:
         assert "Traceback" not in captured.err
         assert len([line for line in captured.err.split("\n") if "error:" in line]) == 1
 
+    @pytest.mark.parametrize("command", ["dare", "cost", "sweep", "simulate"])
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "1e-400"])
+    def test_tol_not_finite_and_positive_is_a_usage_error(self, command, tol, capsys):
+        # --tol is an unknown argument, so no value of it gets past the parser
+        assert dispatch([command, str(DEMO_PATH), "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert "--tol" in captured.err
+
     def test_simulate_seed_must_fit_philox(self, capsys):
         argv = ["simulate", str(DEMO_PATH), "--steps", "2000", "--burn-in", "100", "--seed"]
         assert dispatch(argv + [str(2**128)]) == 2
