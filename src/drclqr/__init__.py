@@ -53,7 +53,7 @@ from .exceptions import (
     SingularPencil,
     Unstable,
 )
-from .lyapunov import Gramian, gramian, solve_dsylvester
+from .lyapunov import gramian, solve_dsylvester
 from .model import (
     LQRSystem,
     StabilityCertificate,
@@ -78,7 +78,6 @@ __all__ = [
     "DRCSystemMatrices",
     "DimensionMismatch",
     "DrclqrError",
-    "Gramian",
     "InvalidHorizon",
     "LQRSystem",
     "NoConvergence",

@@ -196,7 +196,7 @@ def witness_plant(n: int) -> LQRSystem:
 def instability_witness(n: int, H: int, policy: DRCPolicy, t: int):
     """Lower bound on the witness plant's covariance, plus a check.
 
-    Returns ``(lower_bound, holds)`` where
+    Returns ``(lower_bound, holds, covariance)`` where
 
         lower_bound = (e_1' A^H (A^H)' e_1) * sum_{k=H}^{t} A^{k-H} e_1 e_1'
                       (A^{k-H})'
@@ -208,7 +208,8 @@ def instability_witness(n: int, H: int, policy: DRCPolicy, t: int):
     in general (the bound concentrates on e_1 and x'Cov x >= Cov_11 x_1^2
     fails for generic PSD matrices), so it is not what ``holds`` reports.
     The covariance is evaluated after t+1 disturbances so that both sides
-    count the same noise terms w_0 ... w_t.
+    count the same noise terms w_0 ... w_t, and is returned so a caller that
+    also reports on it need not recompute it.
 
     The construction relies on the input having no effect on the first
     coordinate for the first H steps: e_1' A^{H-k} B = 0 for 1 <= k <= H.
@@ -219,16 +220,6 @@ def instability_witness(n: int, H: int, policy: DRCPolicy, t: int):
     4^t and leave the double range near t = 500; a non-finite bound or
     covariance raises :class:`NonFinite` with ``step`` = t.
     """
-    bound, holds, _ = _witness(n, H, policy, t)
-    return bound, holds
-
-
-def _witness(n: int, H: int, policy: DRCPolicy, t: int):
-    """:func:`instability_witness` plus the exact covariance it checked.
-
-    Returns ``(lower_bound, holds, covariance)``, the covariance after t+1
-    disturbances, so a caller that also reports on it need not recompute it.
-    """
     if H < 1 or H > n:
         raise InvalidHorizon(f"the witness covers 1 <= H <= n, got H={H}, n={n}")
     if t < H:
@@ -238,6 +229,10 @@ def _witness(n: int, H: int, policy: DRCPolicy, t: int):
             f"policy must be order {H} with 1 x {n} blocks, got order "
             f"{policy.H} with {policy.n_u} x {policy.n_x}"
         )
+    # fail fast: A is upper triangular with 2's on its diagonal, so c >= 4^H and
+    # the sum's [0, 0] entry is >= 4^(t-H), and bound[0, 0] >= 4^t >= 2^1024
+    if t >= 512:
+        raise NonFinite(f"witness covariance or bound overflowed by t={t}", step=t)
     sys = witness_plant(n)
     A = sys.A
 

@@ -244,7 +244,7 @@ def run_sweep(sys_: LQRSystem, H_max: int, K0=None) -> SweepResult:
     opt_cost = sol.trace_P
 
     first, saved = solve_drc_orders(assemble(work, G, H_max))
-    gaps = float(np.trace(G.G)) - saved - opt_cost
+    gaps = float(np.trace(G)) - saved - opt_cost
 
     t0 = time.perf_counter()
     errs = np.linalg.norm(first - sol.K, 2, axis=(1, 2))
@@ -428,7 +428,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_witness(args) -> int:
     rng = np.random.default_rng(args.seed)
     policy = DRCPolicy(blocks=tuple(rng.uniform(-1.0, 1.0, (1, args.n)) for _ in range(args.h)))
-    lower, holds, cov = bounds_mod._witness(args.n, args.h, policy, args.t)
+    lower, holds, cov = bounds_mod.instability_witness(args.n, args.h, policy, args.t)
     print(f"n= {args.n}")
     print(f"H= {args.h}")
     print(f"t= {args.t}")

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drc import DRCPolicy, _gram_matrix, assemble
+from .drc import DRCPolicy, assemble
 from .exceptions import InvalidHorizon, NonFinite, Unstable
 from .lyapunov import gramian
 from .model import LQRSystem, spectral_radius
@@ -97,7 +97,7 @@ def cost_of_gain(sys: LQRSystem, K) -> CostReport:
     K = np.atleast_2d(np.asarray(K, dtype=float))
     A_cl = sys.A + sys.B @ K
     try:
-        sigma = gramian(A_cl.T, np.eye(sys.n_x)).G
+        sigma = gramian(A_cl.T, np.eye(sys.n_x))
     except Unstable as exc:
         raise Unstable(f"closed loop A+BK: {exc}") from exc
     value = float(np.trace(sigma @ _stage_weight(sys, K)))
@@ -116,7 +116,7 @@ def cost_of_drc(sys: LQRSystem, G, policy: DRCPolicy) -> CostReport:
         raise Unstable(f"A has spectral radius {sr:.6g} >= 1; DRC cost diverges")
     mats = assemble(sys, G, policy.H)
     L = policy.stacked()
-    value = float(np.trace(_gram_matrix(G) + 2.0 * L.T @ mats.J + L.T @ mats.M @ L))
+    value = float(np.trace(G + 2.0 * L.T @ mats.J + L.T @ mats.M @ L))
     return CostReport(value=value, method="analytic_drc")
 
 

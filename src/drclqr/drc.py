@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidHorizon, NotPositiveDefinite, Unstable
-from .lyapunov import Gramian, _smith
+from .lyapunov import _smith
 from .model import LQRSystem, spectral_radius
 
 __all__ = [
@@ -112,10 +112,6 @@ class DRCSystemMatrices:
         return self.M.shape[0] // self.H
 
 
-def _gram_matrix(G) -> np.ndarray:
-    return G.G if isinstance(G, Gramian) else np.atleast_2d(np.asarray(G, dtype=float))
-
-
 def assemble(sys: LQRSystem, G, H: int) -> DRCSystemMatrices:
     """Build the order-H system matrices M ((H n_u) sq.) and J ((H n_u) x n_x).
 
@@ -133,11 +129,10 @@ def assemble(sys: LQRSystem, G, H: int) -> DRCSystemMatrices:
     """
     if H < 1:
         raise InvalidHorizon(f"H must be >= 1, got {H}")
-    Gm = _gram_matrix(G)
     A, B, S = sys.A, sys.B, sys.S
     n_u = sys.n_u
 
-    BtG = B.T @ Gm
+    BtG = B.T @ G
     J = np.empty((H, n_u, sys.n_x))
     power = np.eye(sys.n_x)  # A^{d-1}
     for d in range(H):
@@ -269,7 +264,6 @@ def truncation_residual(sys: LQRSystem, G, K, H: int) -> list:
     """
     if H < 1:
         raise InvalidHorizon(f"H must be >= 1, got {H}")
-    Gm = _gram_matrix(G)
     K = np.atleast_2d(np.asarray(K, dtype=float))
     A, B = sys.A, sys.B
     A_cl = A + B @ K
@@ -278,7 +272,7 @@ def truncation_residual(sys: LQRSystem, G, K, H: int) -> list:
         if sr >= 1.0:
             raise Unstable(f"{name} has spectral radius {sr:.6g} >= 1; tail sum diverges")
 
-    W = -(A.T @ Gm @ B + sys.S.T) @ K
+    W = -(A.T @ G @ B + sys.S.T) @ K
     Y = _smith(A, A_cl, W)
 
     right = Y @ np.linalg.matrix_power(A_cl, H)

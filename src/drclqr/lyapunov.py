@@ -1,10 +1,14 @@
 """Infinite-horizon Gramian accumulation and discrete Sylvester solves.
 
-Both fixed points the package needs, the Gramian G = A'GA + Q and the
-truncation-defect identity Y = A'Y(A+BK) + W, are instances of the discrete
-Sylvester (Stein) equation A'XB + C = X.  For rho(A) rho(B) < 1 its solution
-is the series X = sum_{k>=0} (A^k)' C B^k, which one kernel sums by Smith's
-doubling (Smith 1968, SIAM J. Appl. Math.): from X_0 = C, A_0 = A, B_0 = B,
+Every fixed point the package needs is an instance of the discrete Sylvester
+(Stein) equation A'XB + C = X.  The symmetric ones (B = A, C symmetric) all
+go through :func:`gramian`: the Gramian G = A'GA + Q, the cost of a gain in
+the DARE's Newton step and in the cost module, and the Lyapunov certificate.
+The one general pencil in the package is the truncation-defect identity
+Y = A'Y(A+BK) + W; :func:`solve_dsylvester` is the public general solve.
+For rho(A) rho(B) < 1 the solution is the series
+X = sum_{k>=0} (A^k)' C B^k, which one kernel sums by Smith's doubling
+(Smith 1968, SIAM J. Appl. Math.): from X_0 = C, A_0 = A, B_0 = B,
 
     X_{j+1} = X_j + A_j' X_j B_j,   A_{j+1} = A_j^2,   B_{j+1} = B_j^2 ,
 
@@ -21,28 +25,14 @@ exported through :mod:`drclqr.model`, which imports this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .exceptions import DimensionMismatch, NoConvergence, SingularPencil, Unstable
 
-__all__ = ["Gramian", "gramian", "solve_dsylvester"]
+__all__ = ["gramian", "solve_dsylvester"]
 
 # Doubling steps before NoConvergence; step j covers 2^j terms of the series.
 _DOUBLING_CAP = 64
-
-
-@dataclass(frozen=True)
-class Gramian:
-    """G = sum_{t>=0} (A^t)' Q A^t together with its fixed-point defect.
-
-    ``defect`` is ||A'GA + Q - G|| (spectral norm), reported so callers can
-    see how accurately the solve meets the fixed point.
-    """
-
-    G: np.ndarray
-    defect: float
 
 
 def spectral_radius(M) -> float:
@@ -71,11 +61,12 @@ def _smith(A, B, C) -> np.ndarray:
     raise NoConvergence(f"Smith doubling did not converge within its cap of {_DOUBLING_CAP} steps")
 
 
-def gramian(A, Q) -> Gramian:
+def gramian(A, Q) -> np.ndarray:
     """Solve G = A'GA + Q, whose solution is G = sum_{t>=0} (A^t)' Q A^t.
 
-    The series is summed by Smith's doubling, symmetrized (the doubling keeps
-    symmetry up to round-off), and the defect ||A'GA + Q - G|| is reported.
+    The one route for a symmetric Stein equation: the series is summed by
+    Smith's doubling and returned symmetrized, G == G.T exactly (the doubling
+    keeps symmetry only up to round-off).
 
     Raises :class:`Unstable` when the spectral radius of A is >= 1: the
     series diverges and G is undefined.
@@ -89,9 +80,7 @@ def gramian(A, Q) -> Gramian:
         raise Unstable(f"spectral radius {sr:.6g} >= 1; the Gramian series diverges")
 
     G = _smith(A, A, Q)
-    G = (G + G.T) / 2.0
-    defect = float(np.linalg.norm(A.T @ G @ A + Q - G, 2))
-    return Gramian(G=G, defect=defect)
+    return (G + G.T) / 2.0
 
 
 def solve_dsylvester(A, B, C) -> np.ndarray:

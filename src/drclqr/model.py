@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import AsymmetricMatrix, DimensionMismatch, NoConvergence, NotPositiveDefinite, Unstable
-from .lyapunov import solve_dsylvester, spectral_radius
+from .lyapunov import gramian, spectral_radius
 
 __all__ = [
     "LQRSystem",
@@ -296,9 +296,7 @@ def _lyapunov_certificate(M: np.ndarray, radius: float) -> tuple[float, float]:
     that is ||M^k|| <= sqrt(lambda_max(P)) q^k.
     """
     gamma = radius + _LYAPUNOV_SLACK * (1.0 - radius)
-    scaled = M / gamma
-    P = solve_dsylvester(scaled, scaled, np.eye(M.shape[0]))
-    lam = float(np.linalg.eigvalsh((P + P.T) / 2.0)[-1])
+    lam = float(np.linalg.eigvalsh(gramian(M / gamma, np.eye(M.shape[0])))[-1])
     if not np.isfinite(lam):
         raise NoConvergence(
             f"power scan found no certifying power within {_SCAN_CAP} and the Lyapunov "

@@ -34,12 +34,12 @@ an unstabilizable pair.  ``_DOUBLING_CAP`` = 64 steps stand for 2^64
 fixed-point steps, so a solve that has not stopped by then never will.  The
 doubling carries round-off of up to ~1e-12 relative on near-marginal plants,
 so one Newton (Hewer) step follows: P is re-solved as the cost of the gain
-it defines, one Stein solve.  Gain and residual come from one Riccati step
-at that P.  A Cholesky factorization checks that its inner matrix R + B'PB
-(and, before the doubling, R itself) is positive definite, and a plain solve
-follows; if a factorization fails the standing positive-definiteness
-assumption has been violated somewhere upstream and we raise rather than
-regularize.
+it defines, one symmetric Stein solve by :func:`drclqr.lyapunov.gramian`.
+Gain and residual come from one Riccati step at that P.  A Cholesky
+factorization checks that its inner matrix R + B'PB (and, before the
+doubling, R itself) is positive definite, and a plain solve follows; if a
+factorization fails the standing positive-definiteness assumption has been
+violated somewhere upstream and we raise rather than regularize.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NoConvergence, SingularInnerSolve
-from .lyapunov import solve_dsylvester
+from .lyapunov import gramian
 from .model import LQRSystem, spectral_norm
 
 __all__ = ["RiccatiSolution", "solve_dare", "dare_residual"]
@@ -100,9 +100,10 @@ def solve_dare(sys: LQRSystem) -> RiccatiSolution:
     Doubles until max|H_{k+1} - H_k| <= ``_STEP_TOL`` max|H_{k+1}| (largest
     entries); ``iterations`` is the number of doubling steps.  Then the gain K
     of the converged H is priced exactly, P = (A+BK)' P (A+BK) + Q + K'RK +
-    S'K + K'S, and one Riccati step at that P gives both the final K and the
-    reported DARE defect.  Because that Newton step fixes K, the stop
-    threshold sets no accuracy and is not a parameter (module docstring).
+    S'K + K'S, by ``gramian(A+BK, Q + K'RK + S'K + K'S)``, and one Riccati
+    step at that P gives both the final K and the reported DARE defect.
+    Because that Newton step fixes K, the stop threshold sets no accuracy
+    and is not a parameter (module docstring).
     Non-finite iterates, or no convergence within ``_DOUBLING_CAP`` steps,
     signal an unstabilizable pair and raise :class:`NoConvergence`; an R
     that is not positive definite raises :class:`SingularInnerSolve`.
@@ -137,8 +138,7 @@ def solve_dare(sys: LQRSystem) -> RiccatiSolution:
         raise NoConvergence(f"DARE doubling did not settle within its cap of {_DOUBLING_CAP} steps")
     _, K = _dare_step(sys, H)
     F = sys.A + sys.B @ K
-    P = solve_dsylvester(F, F, sys.Q + K.T @ sys.R @ K + sys.S.T @ K + K.T @ sys.S)
-    P = (P + P.T) / 2.0
+    P = gramian(F, sys.Q + K.T @ sys.R @ K + sys.S.T @ K + K.T @ sys.S)
     P_next, K = _dare_step(sys, P)
     return RiccatiSolution(
         P=P,

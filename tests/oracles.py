@@ -61,7 +61,6 @@ def direct_assemble(sys, G, H: int) -> DRCSystemMatrices:
     """
     if H < 1:
         raise InvalidHorizon(f"H must be >= 1, got {H}")
-    Gm = G.G if hasattr(G, "G") else np.atleast_2d(np.asarray(G, dtype=float))
     A, B, S = sys.A, sys.B, sys.S
     n_u = sys.n_u
 
@@ -70,7 +69,7 @@ def direct_assemble(sys, G, H: int) -> DRCSystemMatrices:
     for _ in range(H):
         powers.append(powers[-1] @ A)
 
-    BtG = B.T @ Gm
+    BtG = B.T @ G
     M = np.empty((H * n_u, H * n_u))
     for k in range(1, H + 1):
         for m in range(1, H + 1):
@@ -81,7 +80,7 @@ def direct_assemble(sys, G, H: int) -> DRCSystemMatrices:
                 block = BtG @ powers[d] @ B + S @ powers[d - 1] @ B
             else:
                 d = m - k
-                block = B.T @ powers[d].T @ Gm @ B + B.T @ powers[d - 1].T @ S.T
+                block = B.T @ powers[d].T @ G @ B + B.T @ powers[d - 1].T @ S.T
             M[(k - 1) * n_u : k * n_u, (m - 1) * n_u : m * n_u] = block
 
     J = np.vstack([BtG @ powers[k] + S @ powers[k - 1] for k in range(1, H + 1)])
@@ -135,10 +134,9 @@ def series_truncation_residual(sys_, G, K, H, tol=1e-16, max_terms=100000):
     Block k accumulates -B'(A')^{H-k+j} (A'GB + S') K (A+BK)^{H+j} over
     j >= 0, stopping when the term norm falls below tol relative to the sum.
     """
-    Gm = G.G if hasattr(G, "G") else G
     A, B = sys_.A, sys_.B
     A_cl = A + B @ K
-    core = -(A.T @ Gm @ B + sys_.S.T) @ K
+    core = -(A.T @ G @ B + sys_.S.T) @ K
     blocks = []
     for k in range(1, H + 1):
         left = np.linalg.matrix_power(A.T, H - k)

@@ -145,14 +145,14 @@ class TestWitnessPlant:
 class TestInstabilityWitness:
     def test_two_by_two_bound_value(self):
         policy = d.DRCPolicy(blocks=(np.zeros((1, 2)),) * 2)
-        bound, _ = d.instability_witness(2, 2, policy, 2)
+        bound, _, _ = d.instability_witness(2, 2, policy, 2)
         expected = np.zeros((2, 2))
         expected[0, 0] = 32.0  # ||e_1' A^2||^2 = ||[4, 4]||^2
         assert np.array_equal(bound, expected)
 
     def test_scalar_bound_value(self):
         policy = d.DRCPolicy(blocks=(np.zeros((1, 1)),))
-        bound, _ = d.instability_witness(1, 1, policy, 1)
+        bound, _, _ = d.instability_witness(1, 1, policy, 1)
         assert np.array_equal(bound, np.array([[4.0]]))
 
     def test_validation(self):
@@ -174,14 +174,12 @@ class TestInstabilityWitness:
         rng = default_rng(31)
         lam_min = np.inf
         for n in range(2, 6):
-            sys_ = d.witness_plant(n)
             for H in range(1, n + 1):
                 for _ in range(5):
                     blocks = tuple(rng.uniform(-5, 5, size=(1, n)) for _ in range(H))
                     policy = d.DRCPolicy(blocks=blocks)
                     for t in range(H, 3 * n + 1):
-                        bound, _ = d.instability_witness(n, H, policy, t)
-                        cov = d.drc_state_covariance(sys_, policy, t + 1)
+                        bound, _, cov = d.instability_witness(n, H, policy, t)
                         lam_min = min(lam_min, float(np.linalg.eigvalsh(cov - bound)[0]))
         assert lam_min < -1e-8
 
@@ -196,8 +194,9 @@ class TestInstabilityWitness:
                     blocks = tuple(rng.uniform(-1, 1, size=(1, n)) for _ in range(H))
                     policy = d.DRCPolicy(blocks=blocks)
                     for t in range(H, 3 * n + 1):
-                        bound, holds = d.instability_witness(n, H, policy, t)
-                        cov = d.drc_state_covariance(sys3[n], policy, t + 1)
+                        bound, holds, cov = d.instability_witness(n, H, policy, t)
+                        # the covariance checked is the one after t+1 disturbances
+                        assert np.array_equal(cov, d.drc_state_covariance(sys3[n], policy, t + 1))
                         assert cov[0, 0] >= bound[0, 0] - 1e-8
                         assert holds
 
@@ -210,6 +209,18 @@ class TestInstabilityWitness:
         with pytest.raises(d.NonFinite) as exc:
             d.instability_witness(4, 3, policy, t)
         assert exc.value.step == t
+
+    def test_overflow_past_t_512_raises_before_any_work(self, monkeypatch):
+        # bound[0, 0] >= 4^t, past the largest double from t = 512 on: the
+        # witness raises at once instead of walking t steps toward inf
+        def fail(*args):
+            raise AssertionError("the covariance was evaluated")
+
+        monkeypatch.setattr(d.bounds, "drc_state_covariance", fail)
+        policy = d.DRCPolicy(blocks=(np.zeros((1, 4)),) * 3)
+        with pytest.raises(d.NonFinite) as exc:
+            d.instability_witness(4, 3, policy, 10**9)
+        assert exc.value.step == 10**9
 
     def test_trace_blows_up_geometrically(self):
         rng = default_rng(8)

@@ -312,7 +312,7 @@ class TestDispatch:
         assert dispatch(["witness", "--n", "4", "--h", "3", "--t", "12"]) == 0
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("t", ["500", "600"])
+    @pytest.mark.parametrize("t", ["500", "600", "1000000000"])
     def test_witness_overflow_is_a_domain_error(self, t, capsys):
         assert dispatch(["witness", "--n", "4", "--h", "3", "--t", t]) == 1
         captured = capsys.readouterr()

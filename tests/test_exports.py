@@ -56,3 +56,33 @@ def test_every_public_exception_is_raised_somewhere():
                 func = node.func
                 called.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
     assert exceptions and not sorted(exceptions - called)
+
+
+# drc sums the truncation-defect pencil with the Smith kernel directly: the
+# public solve_dsylvester would add its two eigenvalue passes to the ones
+# truncation_residual already makes for its named Unstable checks
+CROSS_MODULE_PRIVATE_ALLOWED = {("drc", "lyapunov", "_smith")}
+
+
+def _private_uses(name, tree):
+    """(importer, module, name) for every underscore name taken from a sibling module."""
+    aliases, uses = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:  # from . import bounds as bounds_mod
+                    aliases[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    uses.add((name, node.module, alias.name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            if node.attr.startswith("_") and not node.attr.startswith("__"):
+                uses.add((name, aliases[node.value.id], node.attr))
+    return uses
+
+
+def test_no_module_reaches_into_another_modules_private_names():
+    uses = set()
+    for path in Path(d.__file__).parent.glob("*.py"):
+        uses |= _private_uses(path.stem, ast.parse(path.read_text()))
+    assert uses == CROSS_MODULE_PRIVATE_ALLOWED  # and the allow-list holds no stale entry

@@ -140,6 +140,32 @@ def test_two_riccati_steps_per_solve(path, monkeypatch):
         assert sol.residual_norm == d.dare_residual(sol.P, problem)
 
 
+@pytest.mark.parametrize("path", sorted(SYSTEMS_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_gramian_is_a_symmetric_array(path, monkeypatch):
+    # the Newton step is the one symmetric Stein route: P = gramian(F, stage
+    # weight) for the gain the first Riccati step returns
+    gains = []
+    real = riccati._dare_step
+
+    def spy(sys_, P):
+        P_next, K = real(sys_, P)
+        gains.append(K)
+        return P_next, K
+
+    monkeypatch.setattr(riccati, "_dare_step", spy)
+    for problem in _file_problems(path):
+        if d.spectral_radius(problem.A) < 1.0:  # an unstable plant has no Gramian
+            G = d.gramian(problem.A, problem.Q)
+            assert type(G) is np.ndarray
+            assert np.array_equal(G, G.T)
+        gains.clear()
+        sol = d.solve_dare(problem)
+        K = gains[0]
+        F = problem.A + problem.B @ K
+        weight = problem.Q + K.T @ problem.R @ K + problem.S.T @ K + K.T @ problem.S
+        assert np.array_equal(sol.P, d.gramian(F, weight))
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_unstabilizable_pair_raises():
     unreachable = d.LQRSystem(A=[[1.5]], B=[[0.0]], Q=[[1.0]], R=[[1.0]], S=[[0.0]])
