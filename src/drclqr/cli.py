@@ -230,8 +230,8 @@ def run_sweep(sys_: LQRSystem, H_max: int, K0=None) -> SweepResult:
     work = sys_
     if K0 is not None:
         work = transform(sys_, K0).transformed
-    elif spectral_radius(sys_.A) >= 1.0:
-        raise Unstable("A has spectral radius >= 1; a pre-stabilizing K0 is required")
+    elif (sr := spectral_radius(sys_.A)) >= 1.0:
+        raise Unstable(f"A has spectral radius {sr:.6g} >= 1; a pre-stabilizing K0 is required")
 
     sol = solve_dare(work)
     log.info("DARE solved: %d doubling steps, residual %.3e", sol.iterations, sol.residual_norm)

@@ -23,7 +23,14 @@ order-independent by construction.  Its layout: with p = ceil(n/2)
 Box-Muller pairs and s = ceil(2p/4), step t reads the Philox stream keyed on
 the seed at counter increments t*s+1 .. t*s+s (four uint64 each, one
 uniform double per uint64) and uses the first 2p doubles, p for the radii
-and p for the angles.  A rollout draws its noise in blocks of steps, one
+and p for the angles.  Pair j is r_j (cos 2 pi u_j, sin 2 pi u_j) (Box and
+Muller, 1958), evaluated from the half-angle tangent t = tan(pi u_j) as
+r_j ((1 - t^2), 2t) / (1 + t^2): numpy's float64 ``tan`` is a vectorized
+kernel where its ``cos`` and ``sin`` may be scalar library calls, and the
+result is within a few ulps of r_j of the cosine and sine route.  numpy
+picks its float64 ``tan`` and ``log`` kernels by CPU type, so the stream's
+last bits can differ between CPU types; on one machine they are
+deterministic.  A rollout draws its noise in blocks of steps, one
 generator per block, and finds each block's states with a log-depth
 doubling scan rather than a step-by-step loop.  (An earlier layout keyed one
 generator on (seed, t) per step, so the same seed gave different numbers
@@ -141,10 +148,12 @@ def _noise(seed: int, t0: int, m: int, n: int) -> np.ndarray:
     gen = np.random.Generator(np.random.Philox(key=seed, counter=t0 * s))
     u = gen.random((m, 4 * s))
     r = np.sqrt(-2.0 * np.log(1.0 - u[:, :pairs]))  # 1 - u lies in (0, 1]: finite log
-    angle = 2.0 * np.pi * u[:, pairs : 2 * pairs]
+    t = np.tan(np.pi * u[:, pairs : 2 * pairs])  # half-angle tangent; |t| < 2e16, so t*t is finite
+    t2 = t * t
+    scale = r / (1.0 + t2)
     z = np.empty((m, 2 * pairs))
-    z[:, 0::2] = r * np.cos(angle)
-    z[:, 1::2] = r * np.sin(angle)
+    z[:, 0::2] = scale * (1.0 - t2)  # r cos(2 pi u)
+    z[:, 1::2] = scale * (2.0 * t)  # r sin(2 pi u)
     return z[:, :n]
 
 
@@ -227,14 +236,15 @@ def simulate(sys: LQRSystem, controller, steps: int, burn_in: int = 1000, seed: 
         gain = None
         F = A
         hist = np.zeros((H, n_x))  # w_{t0-H} .. w_{t0-1}
+        weight = sys.joint_weight()  # stage cost z'Wz, z = [x; u]
     else:
         gain = np.atleast_2d(np.asarray(controller, dtype=float))
         F = A + B @ gain
         sr = spectral_radius(F)
         if sr >= 1.0:
             raise Unstable(f"closed loop A+BK has spectral radius {sr:.6g} >= 1")
+        weight = _stage_weight(sys, gain)  # stage cost x'W_K x
 
-    weight = sys.joint_weight()  # stage cost z'Wz, z = [x; u]
     x = np.zeros(n_x)
     n = steps - burn_in
     batches, length = _batch_layout(n)
@@ -255,14 +265,14 @@ def simulate(sys: LQRSystem, controller, steps: int, burn_in: int = 1000, seed: 
             else:
                 d = w
             xs = _states(x, d, powers_T)
-            bad = ~np.all(np.abs(xs[1:]) <= OVERFLOW_LIMIT, axis=1)
-            if bad.any():
+            if not np.abs(xs[1:]).max() <= OVERFLOW_LIMIT:  # NaN fails this too
+                bad = ~np.all(np.abs(xs[1:]) <= OVERFLOW_LIMIT, axis=1)
                 t = t0 + int(np.argmax(bad))
                 raise NonFinite(f"state overflow at step {t} (|x| > {OVERFLOW_LIMIT:g})", step=t)
             x = xs[m]
             lo = max(burn_in - t0, 0)
             if lo < m:
-                z = np.hstack((xs[lo:m], xs[lo:m] @ gain.T if gain is not None else u[lo:m]))
+                z = xs[lo:m] if gain is not None else np.hstack((xs[lo:m], u[lo:m]))
                 costs = np.einsum("ij,ij->i", z @ weight, z)
                 total += float(np.sum(costs))
                 g0 = t0 + lo - burn_in  # index of costs[0] among all n costs

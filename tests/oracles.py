@@ -6,8 +6,10 @@ solver, Kronecker and plain series summation instead of Smith doubling,
 brute-force tail summation instead of the Sylvester closed form, power growth
 instead of eigenvalues, fresh matrix powers instead of a running product, the
 O(H^2)-block direct formulas instead of the block-Toeplitz assembly, a
-per-step rollout instead of the blocked one.  Slow is fine; independent is
-the point.  The one exception is ``sda_iterations``, whose docstring says why.
+per-step rollout instead of the blocked one, the cosine and sine of the
+Box-Muller angle instead of its half-angle tangent.  Slow is fine;
+independent is the point.  The one exception is ``sda_iterations``, whose
+docstring says why.
 """
 
 import numpy as np
@@ -293,6 +295,24 @@ def random_unstable_system(rng, n=3, m=1, sr=1.3, margin=0.1):
     W = rng.normal(size=(n + m, n + m))
     joint = W @ W.T + margin * np.eye(n + m)
     return LQRSystem(A=A, B=B, Q=joint[:n, :n], R=joint[n:, n:], S=joint[n:, :n])
+
+
+def box_muller_noise(seed: int, t0: int, m: int, n: int) -> np.ndarray:
+    """Disturbances of steps t0 .. t0+m-1, shape (m, n), by textbook Box-Muller.
+
+    Reads the Philox uniforms of the counter layout in the ``cost`` module
+    docstring itself: step t takes the four doubles of each counter increment
+    t*s+1 .. t*s+s, radii from the first p and angles from the next p.  Pair j
+    is (r_j cos(2 pi u_j), r_j sin(2 pi u_j)), with numpy's ``cos`` and ``sin``.
+    """
+    p = -(-n // 2)
+    s = -(-p // 2)  # four doubles per increment cover the 2p a step needs
+    gen = np.random.Generator(np.random.Philox(key=seed, counter=t0 * s))
+    u = gen.random(m * 4 * s).reshape(m, s * 4)
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, :p]))
+    theta = 2.0 * np.pi * u[:, p : 2 * p]
+    pairs = np.stack((radius * np.cos(theta), radius * np.sin(theta)), axis=-1)
+    return pairs.reshape(m, 2 * p)[:, :n]
 
 
 def _check_finite(x: np.ndarray, t: int):

@@ -156,7 +156,7 @@ class TestRunSweep:
 
     def test_unstable_needs_prestabilizer(self):
         sys_ = d.LQRSystem(A=[[1.5]], B=[[1.0]], Q=[[1.0]], R=[[1.0]], S=[[0.0]])
-        with pytest.raises(d.Unstable):
+        with pytest.raises(d.Unstable, match=r"spectral radius 1\.5 >= 1; a pre-stabilizing K0"):
             run_sweep(sys_, 3)
         result = run_sweep(sys_, 5, K0=np.array([[-1.0]]))
         for row in result.rows:

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -10,7 +11,7 @@ from numpy.random import default_rng
 import drclqr as d
 from drclqr.cost import _BLOCK, COST_METHODS, _noise, _states, disturbance
 from conftest import DEMO_PATH
-from oracles import kron_gramian, loop_simulate
+from oracles import box_muller_noise, kron_gramian, loop_simulate
 
 
 def scalar_system(a=0.5, b=1.0, q=1.0, r=1.0, s=0.0):
@@ -109,6 +110,30 @@ class TestDisturbance:
         stream = np.vstack([_noise(7, t0, min(_BLOCK, steps - t0), n) for t0 in range(0, steps, _BLOCK)])
         for t in (0, _BLOCK - 1, _BLOCK, _BLOCK + 1, steps - 1):
             assert np.array_equal(stream[t], disturbance(7, t, n))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 6, 10, 40])
+    def test_matches_the_cos_sin_oracle_to_a_few_ulps_of_the_radius(self, n):
+        eps = np.finfo(float).eps
+        for seed in (0, 11, 2**100 + 7):
+            for t0 in (0, 2 * _BLOCK - 3):
+                w = _noise(seed, t0, _BLOCK, n)
+                # an odd n shares its layout with n + 1, whose last pair gives the radius
+                ref = box_muller_noise(seed, t0, _BLOCK, n + n % 2)
+                r = np.repeat(np.hypot(ref[:, 0::2], ref[:, 1::2]), 2, axis=1)[:, :n]
+                assert np.all(np.abs(w - ref[:, :n]) <= 4.0 * eps * r)
+
+    def test_standard_normal_law(self):
+        w = _noise(20261018, 0, 2**14, 8)  # 2**17 draws, 2**16 Box-Muller pairs
+        x = np.sort(w.ravel())
+        N = x.size
+        cdf = 0.5 * (1.0 + np.array([math.erf(v / math.sqrt(2.0)) for v in x]))
+        ks = max(np.max(np.arange(1, N + 1) / N - cdf), np.max(cdf - np.arange(N) / N))
+        assert ks < 1.63 / np.sqrt(N)  # the 1% critical value
+        c, s = w[:, 0::2].ravel(), w[:, 1::2].ravel()
+        assert abs(np.corrcoef(c, s)[0, 1]) <= 4.0 / np.sqrt(N)
+        # 1 - u >= 2**-53 caps the radius at sqrt(106 ln 2) ~ 8.572
+        assert np.all(np.isfinite(w))
+        assert np.max(np.abs(w)) <= math.sqrt(106.0 * math.log(2.0)) * (1.0 + 4.0 * np.finfo(float).eps)
 
 
 def two_state_system():
