@@ -45,6 +45,7 @@ import os
 import sys as _sys
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -75,6 +76,8 @@ CSV_HEADER = "H,err_L1_K,bound_thm1,cost_gap,bound_perf,wall_ms"
 
 _REQUIRED_KEYS = ("A", "B", "Q", "R", "S")
 _OPTIONAL_KEYS = ("K0",)
+# The types json.load gives a JSON number; bool is a type of its own.
+_NUMBER_TYPES = {int, float}
 
 
 def _fmt(x: float) -> str:
@@ -97,9 +100,9 @@ def _reject_constant(token):
 def _parse_matrix(key: str, value) -> np.ndarray:
     if not isinstance(value, list) or not value or not all(isinstance(r, list) for r in value):
         raise ParseError(f"field {key!r} must be a non-empty array of arrays")
-    for entry in (x for row in value for x in row):
-        if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-            raise ParseError(f"field {key!r} has entry {entry!r}, which is not a JSON number")
+    if not set(map(type, chain.from_iterable(value))) <= _NUMBER_TYPES:
+        entry = next(x for x in chain.from_iterable(value) if type(x) not in _NUMBER_TYPES)
+        raise ParseError(f"field {key!r} has entry {entry!r}, which is not a JSON number")
     try:
         arr = np.asarray(value, dtype=float)
     except OverflowError as exc:

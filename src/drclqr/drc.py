@@ -26,6 +26,10 @@ K(A+BK)^{k-1}, and evaluates the defect that truncating that infinite policy
 at order H leaves in the first H block rows of the stationarity condition.
 That defect decays exponentially in H, which is what makes low-order DRCs
 good approximations of state feedback.
+
+Every block of J, and every block of that defect, is a thin n_u x n_x row
+times a power of A (or A'): J_d = J_1 A^{d-1}.  Both stacks are built one
+thin product per block, O(H n_u n_x^2), with no running n_x x n_x power.
 """
 
 from __future__ import annotations
@@ -112,33 +116,46 @@ class DRCSystemMatrices:
         return self.M.shape[0] // self.H
 
 
+def _row_powers(R: np.ndarray, A: np.ndarray, H: int) -> np.ndarray:
+    """R, RA, ..., RA^{H-1} as an (H, rows, n) array, one thin product per power.
+
+    Each power is the previous rows times A, O(rows n^2), so the stack costs
+    O(H rows n^2) and never forms an n x n power of A.  Row doubling (rows
+    [k, 2k) as rows [0, k) times A^k, with A^k from repeated squaring) takes
+    fewer calls but multiplies the round-off by the transient growth of a
+    non-normal A at every level: on Jordan blocks at H = 300 it lost two to
+    three digits that this running product keeps.
+    """
+    out = np.empty((H,) + R.shape)
+    out[0] = R
+    for k in range(1, H):
+        np.matmul(out[k - 1], A, out=out[k])
+    return out
+
+
 def assemble(sys: LQRSystem, G, H: int) -> DRCSystemMatrices:
     """Build the order-H system matrices M ((H n_u) sq.) and J ((H n_u) x n_x).
 
     With G the infinite-horizon Gramian of (A, Q), block d of J is
 
-        J_d = B'G A^d + S A^{d-1} ,
+        J_d = B'G A^d + S A^{d-1} = J_1 A^{d-1} ,
 
     and M is block-Toeplitz: block (k, m) depends only on d = k - m,
 
         T_0 = B'GB + R ,   T_d = J_d B  (d >= 1) ,
 
-    with T_d below the diagonal and T_d' above it.  The J blocks come from
-    one running power of A, so assembly costs O(H) n x n products, and M is
-    exactly symmetric.
+    with T_d below the diagonal and T_d' above it.  The J blocks are the
+    thin row J_1 = B'GA + S times powers of A, one n_u x n_x product each,
+    so assembly costs O(H n_u n_x^2) and forms no power of A; M is exactly
+    symmetric.
     """
     if H < 1:
         raise InvalidHorizon(f"H must be >= 1, got {H}")
-    A, B, S = sys.A, sys.B, sys.S
+    A, B = sys.A, sys.B
     n_u = sys.n_u
 
     BtG = B.T @ G
-    J = np.empty((H, n_u, sys.n_x))
-    power = np.eye(sys.n_x)  # A^{d-1}
-    for d in range(H):
-        J[d] = S @ power
-        power = power @ A
-        J[d] += BtG @ power
+    J = _row_powers(BtG @ A + sys.S, A, H)
 
     T0 = BtG @ B + sys.R
     T = np.concatenate(((T0 + T0.T)[None] / 2.0, J[: H - 1] @ B))  # T_0 .. T_{H-1}
@@ -257,7 +274,10 @@ def truncation_residual(sys: LQRSystem, G, K, H: int) -> list:
 
     block k equals  B' (A')^{H-k} Y (A+BK)^H.  The Sylvester solve sums Y to
     working precision, so this is the reference path; a brute-force tail
-    summation is kept in the test suite as the independent oracle.
+    summation is kept in the test suite as the independent oracle.  The
+    thin rows B'(A')^j, j < H, come one product each and meet
+    Z = Y (A+BK)^H in one batched product, so after the solve the blocks
+    cost O(H n_u n_x^2 + n_x^3 log H), not H products of n_x x n_x matrices.
 
     Requires A and A+BK both stable (the tail otherwise diverges), which is
     also what the Sylvester series needs.
@@ -275,10 +295,5 @@ def truncation_residual(sys: LQRSystem, G, K, H: int) -> list:
     W = -(A.T @ G @ B + sys.S.T) @ K
     Y = _smith(A, A_cl, W)
 
-    right = Y @ np.linalg.matrix_power(A_cl, H)
-    blocks = [None] * H
-    T = right
-    for k in range(H, 0, -1):  # T = (A')^{H-k} Y (A+BK)^H as k walks down
-        blocks[k - 1] = B.T @ T
-        T = A.T @ T
-    return blocks
+    Z = Y @ np.linalg.matrix_power(A_cl, H)
+    return list(_row_powers(B.T, A.T, H)[::-1] @ Z)  # block k: B'(A')^{H-k} Z

@@ -15,9 +15,13 @@ X = sum_{k>=0} (A^k)' C B^k, which one kernel sums by Smith's doubling
 so X_j holds 2^j terms and the tail X - X_j = A_j' X B_j is at most q ||X||_F
 with q = ||A_j||_F ||B_j||_F.  Once q < 1 and q/(1 - q) <= eps, X_j is thus
 within eps ||X_j||_F of X and the kernel stops; a kernel that has not stopped
-within ``_DOUBLING_CAP`` steps raises :class:`NoConvergence`.  rho(A) rho(B)
-< 1, compared with 1 and no margin, is the one acceptance rule; at 1 - delta
-the kernel takes about log2(1/delta) + 5 steps, 58 at the last double below 1.
+within ``_DOUBLING_CAP`` steps, or whose q is no longer finite, raises
+:class:`NoConvergence`.  rho(A) rho(B) < 1, compared with 1 and no margin, is
+the one acceptance rule; at 1 - delta the kernel takes about
+log2(1/delta) + 5 steps, 58 at the last double below 1.  In the symmetric
+case the stop test is itself the proof of that rule: q = ||A_j||_F^2 < 1
+gives rho(A)^{2^j} <= ||A_j||_2 < 1, so :func:`gramian` takes no eigenvalue
+pass unless the doubling fails, and then only to name the radius.
 
 :func:`spectral_radius` lives here, the lowest layer that needs it, and is
 exported through :mod:`drclqr.model`, which imports this module.
@@ -46,18 +50,24 @@ def spectral_radius(M) -> float:
 
 
 def _smith(A, B, C) -> np.ndarray:
-    """sum_{k>=0} (A^k)' C B^k by Smith's doubling; one squaring per step when ``B is A``."""
+    """sum_{k>=0} (A^k)' C B^k by Smith's doubling; one squaring per step when ``B is A``.
+
+    Raises :class:`NoConvergence` at the cap, or as soon as q is not finite.
+    """
     X = C
-    for _ in range(_DOUBLING_CAP):
-        a = np.linalg.norm(A)
-        q = a * a if B is A else a * np.linalg.norm(B)
-        if q < 1.0 and q / (1.0 - q) <= np.finfo(float).eps:
-            return X
-        X = X + A.T @ X @ B
-        if B is A:
-            A = B = A @ A
-        else:
-            A, B = A @ A, B @ B
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(_DOUBLING_CAP):
+            a = np.linalg.norm(A)
+            q = a * a if B is A else a * np.linalg.norm(B)
+            if not np.isfinite(q):
+                raise NoConvergence(f"Smith doubling diverged to non-finite powers at step {step}")
+            if q < 1.0 and q / (1.0 - q) <= np.finfo(float).eps:
+                return X
+            X = X + A.T @ X @ B
+            if B is A:
+                A = B = A @ A
+            else:
+                A, B = A @ A, B @ B
     raise NoConvergence(f"Smith doubling did not converge within its cap of {_DOUBLING_CAP} steps")
 
 
@@ -66,20 +76,27 @@ def gramian(A, Q) -> np.ndarray:
 
     The one route for a symmetric Stein equation: the series is summed by
     Smith's doubling and returned symmetrized, G == G.T exactly (the doubling
-    keeps symmetry only up to round-off).
+    keeps symmetry only up to round-off).  No eigenvalue pass precedes the
+    sum: the doubling stops only once q = ||A^{2^j}||_F^2 < 1, and that
+    proves rho(A)^{2^j} <= ||A^{2^j}||_2 < 1, so a returned G is the sum of
+    a convergent series.
 
     Raises :class:`Unstable` when the spectral radius of A is >= 1: the
-    series diverges and G is undefined.
+    series diverges and G is undefined.  The radius is computed only then,
+    when the doubling has failed to stop; a doubling that fails on an A
+    with radius below 1 re-raises its :class:`NoConvergence`.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     if A.shape[0] != A.shape[1] or A.shape != Q.shape:
         raise DimensionMismatch(f"gramian needs square A and Q of equal shape, got {A.shape} and {Q.shape}")
-    sr = spectral_radius(A)
-    if sr >= 1.0:
-        raise Unstable(f"spectral radius {sr:.6g} >= 1; the Gramian series diverges")
-
-    G = _smith(A, A, Q)
+    try:
+        G = _smith(A, A, Q)
+    except NoConvergence:
+        sr = spectral_radius(A)
+        if sr >= 1.0:
+            raise Unstable(f"spectral radius {sr:.6g} >= 1; the Gramian series diverges") from None
+        raise
     return (G + G.T) / 2.0
 
 

@@ -5,7 +5,8 @@ package: value iteration and scipy's QZ solver instead of the doubling DARE
 solver, Kronecker and plain series summation instead of Smith doubling,
 brute-force tail summation instead of the Sylvester closed form, power growth
 instead of eigenvalues, fresh matrix powers instead of a running product, the
-O(H^2)-block direct formulas instead of the block-Toeplitz assembly, a
+O(H^2)-block direct formulas instead of the block-Toeplitz assembly, the
+same formulas in extended precision instead of thin float64 row products, a
 per-step rollout instead of the blocked one, the cosine and sine of the
 Box-Muller angle instead of its half-angle tangent.  Slow is fine;
 independent is the point.  The one exception is ``sda_iterations``, whose
@@ -87,6 +88,26 @@ def direct_assemble(sys, G, H: int) -> DRCSystemMatrices:
 
     J = np.vstack([BtG @ powers[k] + S @ powers[k - 1] for k in range(1, H + 1)])
     return DRCSystemMatrices(M=M, J=J, H=H)
+
+
+def extended_drc_rows(sys, G, H: int) -> np.ndarray:
+    """J of the order-H system, (H n_u) x n_x, summed in extended precision.
+
+    Block d is B'G A^d + S A^{d-1} with a running n x n power, as in
+    :func:`direct_assemble`, but carried in ``np.longdouble`` (a 64-bit
+    mantissa on x86) and rounded to float64 once at the end.  On a
+    non-normal plant the float64 routes differ from one another by more than
+    the better one's error; this one is a few hundred times closer to exact.
+    """
+    A, B, S, G = (np.asarray(X, dtype=np.longdouble) for X in (sys.A, sys.B, sys.S, G))
+    BtG = B.T @ G
+    power = np.eye(A.shape[0], dtype=np.longdouble)  # A^{d-1}
+    rows = []
+    for _ in range(H):
+        rows.append(S @ power)
+        power = power @ A
+        rows[-1] = rows[-1] + BtG @ power
+    return np.vstack(rows).astype(float)
 
 
 def kron_dsylvester(A, B, C):
@@ -268,11 +289,7 @@ def assert_envelope(cert, M, tol=1e-9):
 
 
 def random_system(rng, n_max=6, m_max=3, sr_range=(0.285, 0.95), margin=0.1):
-    """A random accepted system with spectral radius drawn from sr_range.
-
-    The joint weight block is W W' + margin*I, sliced into Q, R, S, so it is
-    positive definite by construction with eigenvalue floor >= margin.
-    """
+    """A random accepted system with spectral radius drawn from sr_range."""
     n = int(rng.integers(1, n_max + 1))
     m = int(rng.integers(1, m_max + 1))
     A = rng.normal(size=(n, n))
@@ -280,21 +297,44 @@ def random_system(rng, n_max=6, m_max=3, sr_range=(0.285, 0.95), margin=0.1):
     while sr == 0.0:
         A = rng.normal(size=(n, n))
         sr = spectral_radius(A)
-    A = A * (rng.uniform(*sr_range) / sr)
+    return system_with_dynamics(rng, A * (rng.uniform(*sr_range) / sr), m, margin)
+
+
+def system_with_dynamics(rng, A, m, margin=0.1):
+    """A random accepted system around a given A: random B (n x m) and weights.
+
+    The joint weight block is W W' + margin*I, sliced into Q, R, S, so it is
+    positive definite by construction with eigenvalue floor >= margin.
+    """
+    n = A.shape[0]
     B = rng.normal(size=(n, m))
     W = rng.normal(size=(n + m, n + m))
     joint = W @ W.T + margin * np.eye(n + m)
     return LQRSystem(A=A, B=B, Q=joint[:n, :n], R=joint[n:, n:], S=joint[n:, :n])
+
+
+def scaled_orthogonal(rng, n, radius):
+    """radius times a random orthogonal matrix: every eigenvalue has modulus radius."""
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return radius * Q
+
+
+def similar_jordan(rng, n, lam, size, cond=10.0):
+    """T J T^{-1} with J = n/size Jordan blocks J_size(lam), cond(T) = cond.
+
+    T is a random orthogonal matrix with columns scaled from 1 to cond, so
+    the transient growth of A^k comes from the Jordan structure and T alike.
+    """
+    J = np.kron(np.eye(n // size), lam * np.eye(size) + np.eye(size, k=1))
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    T = Q * np.logspace(0.0, np.log10(cond), n)
+    return T @ J @ np.linalg.inv(T)
 
 
 def random_unstable_system(rng, n=3, m=1, sr=1.3, margin=0.1):
     """Like random_system but with spectral radius pushed above 1."""
     A = rng.normal(size=(n, n))
-    A = A * (sr / spectral_radius(A))
-    B = rng.normal(size=(n, m))
-    W = rng.normal(size=(n + m, n + m))
-    joint = W @ W.T + margin * np.eye(n + m)
-    return LQRSystem(A=A, B=B, Q=joint[:n, :n], R=joint[n:, n:], S=joint[n:, :n])
+    return system_with_dynamics(rng, A * (sr / spectral_radius(A)), m, margin)
 
 
 def box_muller_noise(seed: int, t0: int, m: int, n: int) -> np.ndarray:

@@ -103,12 +103,21 @@ class TestLoadSystem:
             load_system_file(path)
 
     @pytest.mark.parametrize(
-        "field, entry, what",
-        [("A", True, "True"), ("A", "0.5", "'0.5'"), ("A", 10**400, "too large"), ("K0", "-1.0", "'-1.0'")],
-        ids=["bool", "string", "huge-int", "string-K0"],
+        "field, value, what",
+        [
+            ("A", [[True]], "True"),
+            ("A", [["0.5"]], "'0.5'"),
+            ("A", [[10**400]], "too large"),
+            ("K0", [["-1.0"]], "'-1.0'"),
+            ("A", [[None]], "entry None,"),
+            ("A", [[[0.5]]], "entry [0.5],"),
+            ("A", [[{"a": 0.5}]], "entry {'a': 0.5},"),
+            ("A", [[0.5, 0.1], [0.2, True]], "entry True,"),
+        ],
+        ids=["bool", "string", "huge-int", "string-K0", "null", "nested-list", "object", "bool-in-row-2"],
     )
-    def test_only_json_numbers_are_entries(self, tmp_path, field, entry, what):
-        path = write_doc(tmp_path, scalar_doc(**{field: [[entry]]}))
+    def test_only_json_numbers_are_entries(self, tmp_path, field, value, what):
+        path = write_doc(tmp_path, scalar_doc(**{field: value}))
         with pytest.raises(d.ParseError, match=f"'{field}'") as exc:
             load_system_file(path)
         assert what in str(exc.value)

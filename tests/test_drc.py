@@ -4,11 +4,48 @@ from numpy.random import default_rng
 
 import drclqr as d
 from drclqr.bounds import schur_lambda_min
-from oracles import direct_assemble, random_system, series_truncation_residual
+from oracles import (
+    direct_assemble,
+    extended_drc_rows,
+    random_system,
+    scaled_orthogonal,
+    series_truncation_residual,
+    similar_jordan,
+    system_with_dynamics,
+)
+
+# n = 40 dynamics: rho times an orthogonal matrix, up to 1 - 1e-6, and five
+# similarity-transformed Jordan blocks J_8(0.5) (eigenvalues spread to 0.51)
+SCALE_DYNAMICS = {
+    "rho0.95": lambda rng: scaled_orthogonal(rng, 40, 0.95),
+    "rho0.999": lambda rng: scaled_orthogonal(rng, 40, 0.999),
+    "rho1-1e-6": lambda rng: scaled_orthogonal(rng, 40, 1.0 - 1e-6),
+    "jordan8": lambda rng: similar_jordan(rng, 40, 0.5, 8),
+}
 
 
 def scalar_system(a=0.5, b=1.0, q=1.0, r=1.0, s=0.0):
     return d.LQRSystem(A=[[a]], B=[[b]], Q=[[q]], R=[[r]], S=[[s]])
+
+
+def assert_matches_direct_assembly(sys_, H):
+    G = d.gramian(sys_.A, sys_.Q)
+    mats = d.assemble(sys_, G, H)
+    ref = direct_assemble(sys_, G, H)
+    assert mats.H == ref.H == H
+    assert np.array_equal(mats.M, mats.M.T)
+    assert np.linalg.norm(mats.M - ref.M) <= 1e-12 * np.linalg.norm(ref.M)
+    assert np.linalg.norm(mats.J - ref.J) <= 1e-12 * np.linalg.norm(ref.J)
+
+
+def assert_matches_series_residual(sys_, H):
+    K = d.solve_dare(sys_).K
+    G = d.gramian(sys_.A, sys_.Q)
+    blocks = d.truncation_residual(sys_, G, K, H)
+    oracle = series_truncation_residual(sys_, G, K, H)
+    assert len(blocks) == H
+    for b, o in zip(blocks, oracle):
+        assert np.linalg.norm(b - o, 2) <= 1e-9 * (1 + np.linalg.norm(o, 2))
 
 
 class TestAssemble:
@@ -59,14 +96,26 @@ class TestAssemble:
     def test_toeplitz_matches_direct_oracle(self, H):
         rng = default_rng(40 + H)
         for _ in range(6):
-            sys_ = random_system(rng)
-            G = d.gramian(sys_.A, sys_.Q)
-            mats = d.assemble(sys_, G, H)
-            ref = direct_assemble(sys_, G, H)
-            assert mats.H == ref.H == H
-            assert np.array_equal(mats.M, mats.M.T)
-            assert np.linalg.norm(mats.M - ref.M) <= 1e-12 * np.linalg.norm(ref.M)
-            assert np.linalg.norm(mats.J - ref.J) <= 1e-12 * np.linalg.norm(ref.J)
+            assert_matches_direct_assembly(random_system(rng), H)
+
+    @pytest.mark.parametrize("dynamics", sorted(SCALE_DYNAMICS))
+    @pytest.mark.parametrize("H", [100, 300])
+    @pytest.mark.parametrize("n_u", [2, 10])
+    def test_toeplitz_matches_direct_oracle_at_scale(self, n_u, H, dynamics):
+        rng = default_rng([n_u, H, sorted(SCALE_DYNAMICS).index(dynamics)])
+        assert_matches_direct_assembly(system_with_dynamics(rng, SCALE_DYNAMICS[dynamics](rng), n_u), H)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="long double is float64 here")
+    @pytest.mark.parametrize("lam, size, cond", [(0.9, 4, 10.0), (0.99, 2, 1.0)])
+    def test_rows_keep_extended_precision_on_jordan_blocks(self, lam, size, cond):
+        # transient growth ||A^k|| up to ~200: float64 routes through n x n
+        # powers, running or squared, leave 2e-12 to 1e-10 here
+        rng = default_rng(16)
+        sys_ = system_with_dynamics(rng, similar_jordan(rng, 40, lam, size, cond), 2)
+        G = d.gramian(sys_.A, sys_.Q)
+        J = d.assemble(sys_, G, 300).J
+        ref = extended_drc_rows(sys_, G, 300)
+        assert np.linalg.norm(J - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestSolveDrc:
@@ -189,13 +238,13 @@ class TestTruncationResidual:
     def test_random_systems_match_series_oracle(self):
         rng = default_rng(21)
         for _ in range(8):
-            sys_ = random_system(rng, sr_range=(0.3, 0.85))
-            sol = d.solve_dare(sys_)
-            G = d.gramian(sys_.A, sys_.Q)
-            blocks = d.truncation_residual(sys_, G, sol.K, H=4)
-            oracle = series_truncation_residual(sys_, G, sol.K, H=4)
-            for b, o in zip(blocks, oracle):
-                assert np.linalg.norm(b - o, 2) <= 1e-9 * (1 + np.linalg.norm(o, 2))
+            assert_matches_series_residual(random_system(rng, sr_range=(0.3, 0.85)), 4)
+
+    @pytest.mark.parametrize("H", [30, 100])
+    @pytest.mark.parametrize("rho", [0.9, 0.99])
+    def test_matches_series_oracle_at_scale(self, rho, H):
+        rng = default_rng([int(1000 * rho), H])
+        assert_matches_series_residual(system_with_dynamics(rng, scaled_orthogonal(rng, 40, rho), 2), H)
 
     def test_unstable_plant_rejected(self):
         sys_ = scalar_system(a=1.5)

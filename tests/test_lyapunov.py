@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,17 @@ from hypothesis import strategies as st
 from numpy.random import default_rng
 
 import drclqr as d
-from oracles import kron_dsylvester, kron_gramian, random_system, series_dsylvester, series_gramian
+from conftest import DEMO_PATH
+from drclqr.cli import load_system_file
+from oracles import (
+    kron_dsylvester,
+    kron_gramian,
+    random_system,
+    scaled_orthogonal,
+    series_dsylvester,
+    series_gramian,
+    similar_jordan,
+)
 
 
 def fixed_point_defect(A, Q, G) -> float:
@@ -223,6 +236,87 @@ class TestUnstableFromSpectralRadius:
         K = triangular(radius) - 0.5 * np.eye(2)
         with pytest.raises(d.Unstable, match="^A\\+BK has spectral radius"):
             d.truncation_residual(sys_, np.eye(2), K, 3)
+
+
+@pytest.fixture
+def eigvals_calls(monkeypatch):
+    """Count the package's eigenvalue passes: every np.linalg.eigvals call."""
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    return calls
+
+
+def similar_j8(lam):
+    # T J_8(lam) T^{-1} with a Gaussian T: the float64 matrix has eigenvalues
+    # spread by ~eps^(1/8), so at lam = 0.999 its eigvals radius is ~1.0097
+    J = lam * np.eye(8) + np.eye(8, k=1)
+    T = default_rng(0).normal(size=(8, 8))
+    return T @ J @ np.linalg.inv(T)
+
+
+class TestEigenvaluePasses:
+    """The Gramian's stop test proves rho < 1, so stable solves take no eigvals."""
+
+    def test_stable_gramian_takes_none(self, eigvals_calls):
+        for A in (scaled_orthogonal(default_rng(1), 6, 0.999), similar_jordan(default_rng(2), 8, 0.5, 4)):
+            d.gramian(A, np.eye(A.shape[0]))
+        assert eigvals_calls == []
+
+    def test_solve_dare_and_cost_of_gain_take_none(self, demo_system, eigvals_calls):
+        sol = d.solve_dare(demo_system)
+        d.cost_of_gain(demo_system, sol.K)
+        assert eigvals_calls == []
+
+    def test_certify_pipeline_takes_five(self, eigvals_calls):
+        # the README pipeline plus the truncation residual, as one certify op:
+        # joint_certificate 2, cost_of_drc 1, truncation_residual 2
+        H = 30
+        sys_, _ = load_system_file(DEMO_PATH)
+        sol = d.solve_dare(sys_)
+        G = d.gramian(sys_.A, sys_.Q)
+        cert = d.joint_certificate(sys_.A, sys_.A + sys_.B @ sol.K)
+        inp = d.BoundInputs.from_system(sys_, sol.K, cert)
+        d.gain_gap_bound(inp, H)
+        d.optimal_cost_gap_bound(inp, H)
+        policy = d.solve_drc(d.assemble(sys_, G, H))
+        d.cost_of_drc(sys_, G, policy)
+        d.cost_of_gain(sys_, sol.K)
+        d.truncation_residual(sys_, G, sol.K, H)
+        assert len(eigvals_calls) == 5
+
+    @pytest.mark.parametrize(
+        "A",
+        [triangular(1.0), triangular(1.0 + 1e-12), triangular(1.5), triangular(1e3), similar_j8(0.999)],
+        ids=["1", "1+1e-12", "1.5", "1e3", "similar-J8(0.999)"],
+    )
+    def test_refusal_names_the_radius_without_warnings(self, A, eigvals_calls):
+        radius = d.spectral_radius(A)
+        assert radius >= 1.0
+        eigvals_calls.clear()
+        message = f"^spectral radius {re.escape(f'{radius:.6g}')} >= 1; the Gramian series diverges$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(d.Unstable, match=message):
+                d.gramian(A, np.eye(A.shape[0]))
+        assert len(eigvals_calls) == 1
+
+    def test_failed_doubling_below_radius_one_is_no_convergence(self, eigvals_calls):
+        # similar J_8(0.9): radius ~0.913, but ||A^k|| peaks near 5e6 and the
+        # round-off of the squared powers overflows; the kernel's error stands
+        A = similar_j8(0.9)
+        assert d.spectral_radius(A) < 1.0
+        eigvals_calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(d.NoConvergence, match="non-finite"):
+                d.gramian(A, np.eye(8))
+        assert len(eigvals_calls) == 1
 
 
 class TestSingularPencil:
