@@ -30,6 +30,8 @@ good approximations of state feedback.
 Every block of J, and every block of that defect, is a thin n_u x n_x row
 times a power of A (or A'): J_d = J_1 A^{d-1}.  Both stacks are built one
 thin product per block, O(H n_u n_x^2), with no running n_x x n_x power.
+The defect's Sylvester fixed point is solved by
+:func:`drclqr.lyapunov.solve_dsylvester`, the package's one general Stein solve.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidHorizon, NotPositiveDefinite, Unstable
-from .lyapunov import _smith
+from .lyapunov import solve_dsylvester
 from .model import LQRSystem, spectral_radius
 
 __all__ = [
@@ -272,15 +274,17 @@ def truncation_residual(sys: LQRSystem, G, K, H: int) -> list:
 
         W = -(A'GB + S') K,     Y = A'Y(A+BK) + W   (solved for Y),
 
-    block k equals  B' (A')^{H-k} Y (A+BK)^H.  The Sylvester solve sums Y to
-    working precision, so this is the reference path; a brute-force tail
-    summation is kept in the test suite as the independent oracle.  The
-    thin rows B'(A')^j, j < H, come one product each and meet
-    Z = Y (A+BK)^H in one batched product, so after the solve the blocks
-    cost O(H n_u n_x^2 + n_x^3 log H), not H products of n_x x n_x matrices.
+    block k equals  B' (A')^{H-k} Y (A+BK)^H.  Y comes from the lyapunov
+    module's public solve_dsylvester, which sums it to working precision,
+    so this is the reference path; a brute-force tail summation is kept in
+    the test suite as the independent oracle.  The thin rows B'(A')^j, j < H,
+    come one product each and meet Z = Y (A+BK)^H in one batched product,
+    so after the solve the blocks cost O(H n_u n_x^2 + n_x^3 log H), not H
+    products of n_x x n_x matrices.
 
-    Requires A and A+BK both stable (the tail otherwise diverges), which is
-    also what the Sylvester series needs.
+    Requires A and A+BK each stable (the tail otherwise diverges): the two
+    eigenvalue passes are these named :class:`Unstable` checks, which the
+    Sylvester solve, needing only rho(A) rho(A+BK) < 1, would not make.
     """
     if H < 1:
         raise InvalidHorizon(f"H must be >= 1, got {H}")
@@ -293,7 +297,7 @@ def truncation_residual(sys: LQRSystem, G, K, H: int) -> list:
             raise Unstable(f"{name} has spectral radius {sr:.6g} >= 1; tail sum diverges")
 
     W = -(A.T @ G @ B + sys.S.T) @ K
-    Y = _smith(A, A_cl, W)
+    Y = solve_dsylvester(A, A_cl, W)
 
     Z = Y @ np.linalg.matrix_power(A_cl, H)
     return list(_row_powers(B.T, A.T, H)[::-1] @ Z)  # block k: B'(A')^{H-k} Z

@@ -296,12 +296,13 @@ def _lyapunov_certificate(M: np.ndarray, radius: float) -> tuple[float, float]:
     that is ||M^k|| <= sqrt(lambda_max(P)) q^k.
     """
     gamma = radius + _LYAPUNOV_SLACK * (1.0 - radius)
-    lam = float(np.linalg.eigvalsh(gramian(M / gamma, np.eye(M.shape[0])))[-1])
-    if not np.isfinite(lam):
-        raise NoConvergence(
-            f"power scan found no certifying power within {_SCAN_CAP} and the Lyapunov "
-            f"fallback is not finite (lambda_max = {lam:.3e})"
-        )
+    failed = f"power scan found no certifying power within {_SCAN_CAP} and the Lyapunov fallback"
+    try:
+        lam = float(np.linalg.eigvalsh(gramian(M / gamma, np.eye(M.shape[0])))[-1])
+    except NoConvergence as err:
+        raise NoConvergence(f"{failed} failed: {err}") from err
+    if not np.isfinite(lam):  # a finite P whose lambda_max is past the double range
+        raise NoConvergence(f"{failed} is not finite (lambda_max = {lam:.3e})")
     return float(np.sqrt(lam)), -float(np.log(gamma * np.sqrt(1.0 - 1.0 / lam)))
 
 

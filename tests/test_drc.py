@@ -223,6 +223,16 @@ class TestTruncationResidual:
         blocks = d.truncation_residual(sys_, G, sol.K, H=1)
         assert blocks[0][0, 0] == pytest.approx(expected, rel=1e-9)
 
+    def test_non_normal_closed_loop_matches_series(self):
+        # A + BK = [[0.99, 0], [5, 0.5]]: its largest entry is five times A's
+        # although both radii are 0.99, and the defect pencil still sums
+        sys_ = d.LQRSystem(A=np.diag([0.99, 0.5]), B=[[0.0], [1.0]], Q=np.eye(2), R=[[1.0]], S=[[0.0, 0.0]])
+        G = d.gramian(sys_.A, sys_.Q)
+        K = np.array([[5.0, 0.0]])
+        blocks = d.truncation_residual(sys_, G, K, H=3)
+        for b, o in zip(blocks, series_truncation_residual(sys_, G, K, H=3), strict=True):
+            assert np.linalg.norm(b - o, 2) <= 1e-9 * (1 + np.linalg.norm(o, 2))
+
     @pytest.mark.parametrize("H", [1, 3, 5])
     def test_demo_substitution_identity(self, demo_system, demo_solution, demo_gramian, H):
         mats = d.assemble(demo_system, demo_gramian, H=H)

@@ -58,12 +58,6 @@ def test_every_public_exception_is_raised_somewhere():
     assert exceptions and not sorted(exceptions - called)
 
 
-# drc sums the truncation-defect pencil with the Smith kernel directly: the
-# public solve_dsylvester would add its two eigenvalue passes to the ones
-# truncation_residual already makes for its named Unstable checks
-CROSS_MODULE_PRIVATE_ALLOWED = {("drc", "lyapunov", "_smith")}
-
-
 def _private_uses(name, tree):
     """(importer, module, name) for every underscore name taken from a sibling module."""
     aliases, uses = {}, set()
@@ -85,4 +79,4 @@ def test_no_module_reaches_into_another_modules_private_names():
     uses = set()
     for path in Path(d.__file__).parent.glob("*.py"):
         uses |= _private_uses(path.stem, ast.parse(path.read_text()))
-    assert uses == CROSS_MODULE_PRIVATE_ALLOWED  # and the allow-list holds no stale entry
+    assert uses == set()

@@ -66,6 +66,13 @@ class TestGramian:
         lam_Q = np.linalg.eigvalsh(demo_system.Q)[0]
         assert lam_G >= lam_Q - 1e-10
 
+    def test_sum_near_the_top_of_the_double_range_stays_finite(self):
+        # G_22 ~ 1.26e308, so G + G' would overflow where G/2 + G'/2 does not
+        r, c = 0.99, 10**151.35
+        G = d.gramian([[r, c], [0.0, r]], np.eye(2))
+        assert np.isfinite(G).all() and np.array_equal(G, G.T)
+        assert G[1, 1] == pytest.approx(1 / (1 - r * r) + c * c * (1 + r * r) / (1 - r * r) ** 3, rel=1e-12)
+
     def test_unstable_rejected(self):
         with pytest.raises(d.Unstable):
             d.gramian([[1.01]], [[1.0]])
@@ -99,6 +106,8 @@ class TestSolveDsylvester:
         # rho(A) = 2 and rho(B) = 0.45: A^k overflows long before the series
         # converges unless the two sides are balanced
         assert d.solve_dsylvester([[2.0]], [[0.45]], [[1.0]])[0, 0] == pytest.approx(10.0, rel=1e-13)
+        # the unscaled doubling fails at step 0 (its norm squares 1e160); the radii balance the retry
+        assert d.solve_dsylvester([[1e160]], [[1e-161]], [[1.0]])[0, 0] == pytest.approx(1.0 / 0.9, rel=1e-13)
         rng = default_rng(14)
         A = rng.normal(size=(4, 4))
         A *= 1e3 / d.spectral_radius(A)
@@ -111,6 +120,16 @@ class TestSolveDsylvester:
     def test_shape_mismatch(self):
         with pytest.raises(d.DimensionMismatch):
             d.solve_dsylvester(np.eye(2), np.eye(3), np.eye(3))
+
+    def test_non_normal_factor_with_a_large_entry(self):
+        # A + BK = [[0.99, 0], [5, 0.5]]: both radii 0.99, but the largest
+        # entries differ fivefold; a pair balanced by entries (s = 2) has
+        # radii 1.98 and 0.495 and overflows, the pair as given converges
+        A = np.diag([0.99, 0.5])
+        A_cl = np.array([[0.99, 0.0], [5.0, 0.5]])
+        C = np.array([[1.0, -2.0], [0.5, 3.0]])
+        X_ref = kron_dsylvester(A, A_cl, C)
+        assert np.linalg.norm(d.solve_dsylvester(A, A_cl, C) - X_ref, 2) <= 1e-12 * np.linalg.norm(X_ref, 2)
 
 
 def jordan_block(lam, n=6):
@@ -266,7 +285,22 @@ class TestEigenvaluePasses:
     def test_stable_gramian_takes_none(self, eigvals_calls):
         for A in (scaled_orthogonal(default_rng(1), 6, 0.999), similar_jordan(default_rng(2), 8, 0.5, 4)):
             d.gramian(A, np.eye(A.shape[0]))
+        # the general route too, on a stable distinct pair
+        eigvals_calls.clear()
+        d.solve_dsylvester(scaled_orthogonal(default_rng(3), 6, 0.9), similar_jordan(default_rng(4), 6, 0.8, 3), np.eye(6))
         assert eigvals_calls == []
+
+    def test_unbalanced_pencil_takes_the_radii_once(self, eigvals_calls):
+        # rho 1e3 times 0.9e-3, the pencil of test_unstable_factor_with_convergent_product:
+        # the unscaled doubling overflows, and the radii balance the second sum
+        rng = default_rng(14)
+        A = rng.normal(size=(4, 4))
+        A *= 1e3 / d.spectral_radius(A)
+        B = rng.normal(size=(4, 4))
+        B *= 0.9e-3 / d.spectral_radius(B)
+        eigvals_calls.clear()
+        d.solve_dsylvester(A, B, rng.normal(size=(4, 4)))
+        assert len(eigvals_calls) == 2
 
     def test_solve_dare_and_cost_of_gain_take_none(self, demo_system, eigvals_calls):
         sol = d.solve_dare(demo_system)
@@ -318,28 +352,68 @@ class TestEigenvaluePasses:
                 d.gramian(A, np.eye(8))
         assert len(eigvals_calls) == 1
 
+    def test_sum_past_the_double_range_is_no_convergence(self, eigvals_calls):
+        # rho 0.99, but the true G_22 ~ 2.5e309 is past the double range: the
+        # sum overflows to NaN, and the kernel refuses it instead of returning it
+        A = np.array([[0.99, 1e152], [0.0, 0.99]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(d.NoConvergence, match="non-finite at step"):
+                d.gramian(A, np.eye(2))
+            assert len(eigvals_calls) == 1
+            with pytest.raises(d.NoConvergence, match="non-finite at step"):
+                d.solve_dsylvester(A, A, np.eye(2))
+        assert len(eigvals_calls) == 2
+
+
+def lifted_jordan(r, c):
+    # r I + c (e1 e2' + e1 e3'): the Gramian's lower 2 x 2 block is nearly a multiple of all-ones
+    return np.array([[r, c, c], [0.0, r, 0.0], [0.0, 0.0, r]])
+
+
+@pytest.mark.parametrize(
+    "M, reason",
+    [
+        (similar_j8(0.9), "failed: Smith doubling diverged to non-finite powers at step 13"),
+        # P is finite, entries up to ~1.3e308, but lambda_max(P) is twice that
+        (lifted_jordan(0.9999, 10**147.9), "is not finite \\(lambda_max = inf\\)"),
+    ],
+    ids=["kernel-fails", "lambda-max-overflows"],
+)
+def test_failed_lyapunov_fallback_names_the_scan(M, reason):
+    message = f"^power scan found no certifying power within 10000 and the Lyapunov fallback {reason}$"
+    with pytest.raises(d.NoConvergence, match=message):
+        d.joint_certificate(M, M)
+
+
+def assert_singular_pencil(A, B, C):
+    """solve_dsylvester refuses (A, B) with the radii in the message and no RuntimeWarning."""
+    product = f"{d.spectral_radius(A) * d.spectral_radius(B):.6g}"
+    message = f"^rho\\(A\\) rho\\(B\\) = {re.escape(product)} >= 1; the series solving A'XB \\+ C = X does not converge$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(d.SingularPencil, match=message):
+            d.solve_dsylvester(A, B, C)
+
 
 class TestSingularPencil:
     def test_shared_form(self):
         # lambda^2 = 1 for lambda = -1, with B is A
         A = np.array([[-1.0, 0.2], [0.0, 0.5]])
-        with pytest.raises(d.SingularPencil):
-            d.solve_dsylvester(A, A, np.eye(2))
+        assert_singular_pencil(A, A, np.eye(2))
 
     def test_distinct_forms(self):
         # 2 * 0.5 = 1 with A unstable and B stable
         A = np.array([[2.0, 0.0], [1.0, 0.3]])
         B = np.array([[0.5, 1.0], [0.0, 0.1]])
-        with pytest.raises(d.SingularPencil):
-            d.solve_dsylvester(A, B, np.ones((2, 2)))
+        assert_singular_pencil(A, B, np.ones((2, 2)))
 
     def test_divergent_series_without_unit_product(self):
         # products 1.5, 0.2, 0.225, 0.03: a unique solution exists, but
         # rho(A) rho(B) = 1.5 > 1, so the series does not converge
         A = np.array([[2.0, 0.0], [1.0, 0.3]])
         B = np.array([[0.75, 1.0], [0.0, 0.1]])
-        with pytest.raises(d.SingularPencil, match="does not converge"):
-            d.solve_dsylvester(A, B, np.ones((2, 2)))
+        assert_singular_pencil(A, B, np.ones((2, 2)))
 
 
 class TestGramianPowerBound:

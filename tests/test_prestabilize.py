@@ -99,7 +99,6 @@ class TestDefaultPrestabilizer:
         K0 = d.default_prestabilizer(demo_system)
         assert d.spectral_radius(demo_system.A + demo_system.B @ K0) < 1.0
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_uncontrollable_plant_fails_loudly(self):
         sys_ = d.LQRSystem(A=[[1.5]], B=[[0.0]], Q=[[1.0]], R=[[1.0]], S=[[0.0]])
         with pytest.raises(d.NoConvergence):

@@ -166,7 +166,6 @@ def test_gramian_is_a_symmetric_array(path, monkeypatch):
         assert np.array_equal(sol.P, d.gramian(F, weight))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_unstabilizable_pair_raises():
     unreachable = d.LQRSystem(A=[[1.5]], B=[[0.0]], Q=[[1.0]], R=[[1.0]], S=[[0.0]])
     with pytest.raises(d.NoConvergence):
