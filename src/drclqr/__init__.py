@@ -12,7 +12,8 @@ Module map:
     model         system/certificate types, validation, certificates
     riccati       DARE solver and the optimal gain
     lyapunov      infinite-horizon Gramian, discrete Sylvester solves
-    drc           (M, J) assembly, optimal DRC, induced policies, residuals
+    drc           (M, J) assembly, optimal DRC, every order's gaps, induced
+                  policies, residuals
     cost          analytic / Monte-Carlo / covariance cost evaluation
     bounds        every closed-form bound, the instability witness
     prestabilize  unstable plants via a pre-stabilizing gain
@@ -35,8 +36,8 @@ from .drc import (
     DRCSystemMatrices,
     assemble,
     induced_drc,
+    order_gaps,
     solve_drc,
-    solve_drc_orders,
     truncation_residual,
 )
 from .exceptions import (
@@ -110,6 +111,7 @@ __all__ = [
     "joint_certificate",
     "load_system",
     "optimal_cost_gap_bound",
+    "order_gaps",
     "recover_gain",
     "run_sweep",
     "save_system",
@@ -117,7 +119,6 @@ __all__ = [
     "simulate",
     "solve_dare",
     "solve_drc",
-    "solve_drc_orders",
     "solve_dsylvester",
     "spectral_norm",
     "spectral_radius",

@@ -16,11 +16,11 @@ fixed header
 followed by a trailer line `# slope=... rho=... tau=...` carrying the fitted
 log-linear decay rate and the certificate constants.  All numeric output uses
 12 significant digits; timing lives only in the wall_ms column.  The sweep
-solves every order at once, from one assembly, factorization and forward
-substitution at H_max, and then evaluates every order's gain error in one
-batched spectral-norm call; wall_ms is each row's 1/H_max share of that one timed
-evaluation, so every row carries the same value and the shared solve is in
-no row.
+reads every order's gaps off one closed form of the finite-horizon Riccati
+recursion (see :func:`drclqr.drc.order_gaps`) and then evaluates every
+order's gain error in one batched spectral-norm call; wall_ms is each row's
+1/H_max share of that one timed evaluation, so every row carries the same
+value and the shared closed form is in no row.
 
 Exit codes: 0 success, 1 domain error (bad math, bad file, an --out path that
 cannot be written), 2 usage error.  Out-of-range numbers (--h or --h-max below
@@ -51,7 +51,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .cost import cost_of_drc, cost_of_gain, simulate
-from .drc import DRCPolicy, assemble, solve_drc, solve_drc_orders
+from .drc import DRCPolicy, assemble, order_gaps, solve_drc
 from .exceptions import DimensionMismatch, DrclqrError, ParseError, Unstable
 from .lyapunov import gramian
 from .model import LQRSystem, joint_certificate, spectral_radius, validate_system
@@ -221,12 +221,13 @@ def run_sweep(sys_: LQRSystem, H_max: int, K0=None) -> SweepResult:
     for (A, A+BK) is computed up front and reused for every H, so every bound
     shares the same constants.
 
-    The order-H_max system is assembled and factored once; every order's
-    first block and cost gap, trace(G) - sum_{k<=H} ||y_k||_F^2 - trace(P),
-    are prefix sums of one forward substitution (see the drc module).  The
-    gain errors ||L_1^{(H)} - K||_2 of all orders come from one stacked norm
-    call, and each row's wall_ms is the 1/H_max share of that call's wall
-    time.
+    The optimal order-H DRC is the finite-horizon Riccati recursion from
+    P_0 = G, so every order's gain gap L_1^{(H)} - K and cost gap
+    trace(P_H - P) come from one closed form of that recursion
+    (:func:`drclqr.drc.order_gaps`), with no system assembled or factored.
+    The gain errors ||L_1^{(H)} - K||_2 of all orders come from one stacked
+    norm call, and each row's wall_ms is the 1/H_max share of that call's
+    wall time.
     """
     if H_max < 1:
         raise ValueError(f"H_max must be >= 1, got {H_max}")
@@ -238,19 +239,16 @@ def run_sweep(sys_: LQRSystem, H_max: int, K0=None) -> SweepResult:
 
     sol = solve_dare(work)
     log.info("DARE solved: %d doubling steps, residual %.3e", sol.iterations, sol.residual_norm)
-    G = gramian(work.A, work.Q)
     cert = joint_certificate(work.A, work.A + work.B @ sol.K)
     log.info(
         "joint certificate: tau=%.6g rho=%.6g (method=%s, k_max=%d)", cert.tau, cert.rho, cert.method, cert.k_max
     )
     inp = bounds_mod.BoundInputs.from_system(work, sol.K, cert)
-    opt_cost = sol.trace_P
 
-    first, saved = solve_drc_orders(assemble(work, G, H_max))
-    gaps = float(np.trace(G)) - saved - opt_cost
+    gain_gaps, cost_gaps = order_gaps(work, sol.P, sol.K, H_max)
 
     t0 = time.perf_counter()
-    errs = np.linalg.norm(first - sol.K, 2, axis=(1, 2))
+    errs = np.linalg.norm(gain_gaps, 2, axis=(1, 2))
     wall_ms = (time.perf_counter() - t0) * 1e3 / H_max
 
     rows = [
@@ -258,7 +256,7 @@ def run_sweep(sys_: LQRSystem, H_max: int, K0=None) -> SweepResult:
             H=H,
             err_L1_K=float(errs[H - 1]),
             bound_thm1=bounds_mod.gain_gap_bound(inp, H),
-            cost_gap=float(gaps[H - 1]),
+            cost_gap=float(cost_gaps[H - 1]),
             bound_perf=bounds_mod.cost_gap_bound(inp, H),
             wall_ms=wall_ms,
         )

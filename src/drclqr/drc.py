@@ -11,25 +11,26 @@ one symmetric positive-definite linear system
     M L + J = 0 ,
 
 where M and J are built from the plant, the weights, and the infinite-horizon
-Gramian G (see :func:`assemble` for the block formulas).  At the optimum
-the average cost is trace(G) - trace(J'M^{-1}J).  With the lower Cholesky
-factor M = LL' and y = L^{-1}(-J), whose k-th block row y_k depends only on
-the leading k x k blocks of M and the first k blocks of J, this is the prefix
-identity
+Gramian G (see :func:`assemble` for the block formulas).
 
-    cost(H) = trace(G) - sum_{k<=H} ||y_k||_F^2 ,
+The same optimum has a Riccati form.  Each disturbance's response is a
+deterministic H-step LQR problem with terminal cost G, so the optimal
+order-H DRC is the finite-horizon Riccati recursion started at P_0 = G: its
+first block is that recursion's gain K_{H-1} and its cost is trace(P_H)
+(Hager & Horowitz 1976; Bitmead & Gevers 1991).  :func:`order_gaps` reads
+every order's gain gap and cost gap off one closed form of that recursion,
+measured from the DARE's P, and factors no M.
 
-so one factorization at the largest order prices every smaller order
-(:func:`solve_drc_orders`).  The module also
-constructs the policy induced by a state-feedback gain K, whose blocks are
-K(A+BK)^{k-1}, and evaluates the defect that truncating that infinite policy
-at order H leaves in the first H block rows of the stationarity condition.
-That defect decays exponentially in H, which is what makes low-order DRCs
-good approximations of state feedback.
+The module also constructs the policy induced by a state-feedback gain K,
+whose blocks are K(A+BK)^{k-1}, and evaluates the defect that truncating
+that infinite policy at order H leaves in the first H block rows of the
+stationarity condition.  That defect decays exponentially in H, which is
+what makes low-order DRCs good approximations of state feedback.
 
-Every block of J, and every block of that defect, is a thin n_u x n_x row
-times a power of A (or A'): J_d = J_1 A^{d-1}.  Both stacks are built one
-thin product per block, O(H n_u n_x^2), with no running n_x x n_x power.
+Every block of J, of that defect and of an induced policy is a thin
+n_u x n_x row times a power of A, A' or A+BK: J_d = J_1 A^{d-1}.  Each stack
+is built one thin product per block, O(H n_u n_x^2), with no running
+n_x x n_x power.
 The defect's Sylvester fixed point is solved by
 :func:`drclqr.lyapunov.solve_dsylvester`, the package's one general Stein solve.
 """
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidHorizon, NotPositiveDefinite, Unstable
-from .lyapunov import solve_dsylvester
+from .lyapunov import gramian, solve_dsylvester
 from .model import LQRSystem, spectral_radius
 
 __all__ = [
@@ -49,7 +50,7 @@ __all__ = [
     "DRCSystemMatrices",
     "assemble",
     "solve_drc",
-    "solve_drc_orders",
+    "order_gaps",
     "induced_drc",
     "truncation_residual",
 ]
@@ -112,10 +113,6 @@ class DRCSystemMatrices:
     M: np.ndarray
     J: np.ndarray
     H: int
-
-    @property
-    def n_u(self) -> int:
-        return self.M.shape[0] // self.H
 
 
 def _row_powers(R: np.ndarray, A: np.ndarray, H: int) -> np.ndarray:
@@ -213,34 +210,69 @@ def solve_drc(matrices: DRCSystemMatrices) -> DRCPolicy:
     return DRCPolicy.from_stacked(X, matrices.H)
 
 
-def solve_drc_orders(matrices: DRCSystemMatrices):
-    """First blocks and optimal costs of every order H = 1..matrices.H.
+def order_gaps(sys: LQRSystem, P, K, H_max: int):
+    """Gain gaps L_1^{(H)} - K and cost gaps of every order H = 1..H_max.
 
-    M_H is the leading principal block of M and J_H the leading block rows
-    of J, so one Cholesky factor M = LL' and one forward substitution
-    y = L^{-1}(-J) serve every order: the order-H solution is L_H'^{-1} y_H.
-    L_H'^{-1} is the leading block of L'^{-1}, so with R_k the k-th
-    n_u x n_u block of the first block row of L'^{-1},
+    P and K are the DARE's solution.  Returns (gain, cost): gain[H-1] is the
+    n_u x n_x gap L_1^{(H)} - K and cost[H-1] the optimal order-H DRC's
+    average cost minus trace(P).  Neither is a difference of two O(1)
+    numbers, so both keep their relative accuracy where they fall far
+    below eps.
 
-        L_1^{(H)} = sum_{k<=H} R_k y_k ,
+    Riccati form.  Under the order-H DRC a disturbance w, entering the state
+    at one step, is answered by the inputs L_1 w, ..., L_H w over the next H
+    steps and then left to the open loop, whose cost-to-go is w' G w
+    propagated by A; independent unit-covariance disturbances add their
+    costs.  Choosing the blocks is therefore one deterministic H-step LQR
+    problem per w, with terminal cost G, whose optimum is the linear feedback
+    of the finite-horizon Riccati recursion P_0 = G, P_{j+1} = Ric(P_j), with
+    gain K_j = -(R + B'P_jB)^{-1}(B'P_jA + S).  Its open-loop inputs are
+    linear in w, so they are a DRC: L_1^{(H)} = K_{H-1}, and the optimal
+    order-H cost is trace(P_H).
 
-    a prefix sum like the cost identity of the module docstring.  y and the
-    R_k come from one forward substitution.
+    Closed form.  Write F = A + BK, X = R + B'PB, Delta_j = P_j - P,
+    V_i = F^i B and Gamma_j = sum_{i<j} V_i X^{-1} V_i'.  Then
 
-    Returns (first, saved): first[H-1] is L_1^{(H)} and saved[H-1] is
-    sum_{k<=H} ||y_k||_F^2, what the optimal order-H DRC saves against
-    trace(G).  An indefinite M raises :class:`NotPositiveDefinite`.
+        Delta_0 = A' Delta_0 A + K'XK ,
+        Z_j = Delta_0 (I + Gamma_j Delta_0)^{-1} F^j ,
+        Delta_j = (F^j)' Z_j ,     K_j - K = -X^{-1} V_j' Z_{j+1} .
+
+    The first line is G = A'GA + Q minus the DARE P = A'PA + Q - K'XK, so
+    Delta_0 = G - P is one Gramian with no cancellation.  For the rest,
+    expand Ric(P + Delta) about P:
+
+        Delta_{j+1} = F' Delta_j (I + B X^{-1} B' Delta_j)^{-1} F ,
+        K_j - K = -X^{-1} B' Delta_j (I + B X^{-1} B' Delta_j)^{-1} F .
+
+    Both right sides share Delta_j (I + C Delta_j)^{-1} F, C = B X^{-1} B'.
+    Induction on j, with N_j = Delta_0 (I + Gamma_j Delta_0)^{-1} and
+    Delta_j = (F^j)' N_j F^j (true at j = 0, where Gamma_0 = 0): the
+    push-through identity F^j (I + C (F^j)' N F^j)^{-1} =
+    (I + F^j C (F^j)' N)^{-1} F^j turns the shared factor into
+    (F^j)' N_j (I + V_j X^{-1} V_j' N_j)^{-1} F^{j+1}, and
+
+        N_j (I + V_j X^{-1} V_j' N_j)^{-1}
+            = Delta_0 [(I + V_j X^{-1} V_j' N_j)(I + Gamma_j Delta_0)]^{-1}
+            = Delta_0 (I + Gamma_{j+1} Delta_0)^{-1} = N_{j+1} ,
+
+    so the shared factor is (F^j)' Z_{j+1}.  The gain gap of order H is
+    -X^{-1} V_{H-1}' Z_H and the cost gap is trace(Delta_H), the entrywise
+    product of F^H and Z_H, summed.  All orders take one stack of powers
+    F^0..F^{H_max}, one cumulative sum for the Gamma_j and one batched
+    n_x x n_x solve: O(H_max n_x^3), with nothing of size (H_max n_u)^2.
     """
-    L = _cholesky(matrices.M)
-    H, n_u = matrices.H, matrices.n_u
-    n_x = matrices.J.shape[1]
-    # L [y, R'] = [-J, E] with E the first n_u columns of the identity
-    z = _forward(L, np.hstack((-matrices.J, np.eye(H * n_u, n_u))))
-    y = z[:, :n_x].reshape(H, n_u, n_x)
-    R = z[:, n_x:].reshape(H, n_u, n_u).transpose(0, 2, 1)
-    first = np.cumsum(R @ y, axis=0)
-    saved = np.cumsum(np.sum(y**2, axis=(1, 2)))
-    return first, saved
+    if H_max < 1:
+        raise InvalidHorizon(f"H_max must be >= 1, got {H_max}")
+    K = np.atleast_2d(np.asarray(K, dtype=float))
+    A, B = sys.A, sys.B
+    X = sys.R + B.T @ P @ B
+    D0 = gramian(A, K.T @ X @ K)
+    F = _row_powers(np.eye(sys.n_x), A + B @ K, H_max + 1)  # F^0 .. F^{H_max}
+    V = F[:H_max] @ B
+    W = (F[:H_max] @ np.linalg.solve(X, B.T).T).transpose(0, 2, 1)  # X^{-1} V_i'
+    Gamma = np.cumsum(V @ W, axis=0)  # Gamma_1 .. Gamma_{H_max}
+    Z = D0 @ np.linalg.solve(np.eye(sys.n_x) + Gamma @ D0, F[1:])
+    return -(W @ Z), np.sum(F[1:] * Z, axis=(1, 2))
 
 
 def induced_drc(K, sys: LQRSystem, H: int) -> DRCPolicy:
@@ -252,13 +284,7 @@ def induced_drc(K, sys: LQRSystem, H: int) -> DRCPolicy:
     if H < 1:
         raise InvalidHorizon(f"H must be >= 1, got {H}")
     K = np.atleast_2d(np.asarray(K, dtype=float))
-    A_cl = sys.A + sys.B @ K
-    blocks = []
-    right = np.eye(sys.n_x)  # (A+BK)^{k-1}, starts at identity so block 1 = K
-    for _ in range(H):
-        blocks.append(K @ right)
-        right = right @ A_cl
-    return DRCPolicy(blocks=tuple(blocks))
+    return DRCPolicy(blocks=tuple(_row_powers(K, sys.A + sys.B @ K, H)))
 
 
 def truncation_residual(sys: LQRSystem, G, K, H: int) -> list:

@@ -6,12 +6,16 @@ solver, Kronecker and plain series summation instead of Smith doubling,
 brute-force tail summation instead of the Sylvester closed form, power growth
 instead of eigenvalues, fresh matrix powers instead of a running product, the
 O(H^2)-block direct formulas instead of the block-Toeplitz assembly, the
-same formulas in extended precision instead of thin float64 row products, a
+same formulas in extended precision instead of thin float64 row products,
+the Riccati recursion step by step in exact rationals instead of its
+float64 closed form, a
 per-step rollout instead of the blocked one, the cosine and sine of the
 Box-Muller angle instead of its half-angle tangent.  Slow is fine;
 independent is the point.  The one exception is ``sda_iterations``, whose
 docstring says why.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -46,6 +50,34 @@ def value_iteration_dare(sys_, steps=200):
         P = A_cl.T @ P @ A_cl + sys_.Q + K.T @ sys_.R @ K + K.T @ sys_.S + sys_.S.T @ K
         P = (P + P.T) / 2.0
     return P, K
+
+
+def exact_scalar_gaps(a, b, q, r, P, H_max: int):
+    """Gain and cost gaps of every order of a scalar plant (S = 0), exactly.
+
+    Runs the finite-horizon Riccati recursion p_{j+1} = Ric(p_j) from the
+    Gramian p_0 = q / (1 - a^2) in ``Fraction`` arithmetic, one step per
+    order: the order-H gain gap is K_{H-1} - K and the cost gap p_H - P.
+    P must be the DARE's solution exactly, so the plant's data must make it
+    rational; that is asserted.  Returns two lists of Fractions.
+    """
+    a, b, q, r, P = map(Fraction, (a, b, q, r, P))
+
+    def gain(p):
+        return -a * b * p / (r + b * b * p)
+
+    def ric(p):
+        return a * a * p + q + a * b * p * gain(p)
+
+    assert ric(P) == P and abs(a + b * gain(P)) < 1, "P is not the stabilizing DARE solution"
+    K = gain(P)
+    p = q / (1 - a * a)
+    gains, costs = [], []
+    for _ in range(H_max):
+        gains.append(gain(p) - K)
+        p = ric(p)
+        costs.append(p - P)
+    return gains, costs
 
 
 def direct_assemble(sys, G, H: int) -> DRCSystemMatrices:

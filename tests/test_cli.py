@@ -20,7 +20,7 @@ from drclqr.cli import (
 )
 from conftest import DEMO_PATH, SCALAR_UNSTABLE_PATH
 from numpy.random import default_rng
-from oracles import direct_assemble, random_system, random_unstable_system
+from oracles import direct_assemble, exact_scalar_gaps, random_system, random_unstable_system
 
 
 def write_doc(tmp_path, doc, name="sys.json"):
@@ -186,7 +186,7 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("plant", ["demo3x3", "random_stable", "random_unstable_with_k0"])
     def test_rows_match_per_order_route(self, plant, demo_system):
-        # The sweep's one factorization against a fresh direct assembly,
+        # The sweep's Riccati closed form against a fresh direct assembly,
         # solve and trace-identity cost at every order.
         K0 = None
         if plant == "demo3x3":
@@ -211,6 +211,18 @@ class TestRunSweep:
             assert abs(row.err_L1_K - err) <= tol_err
             assert abs(row.cost_gap - gap) <= tol_gap
 
+    def test_dyadic_scalar_plant_matches_exact_recursion(self):
+        # A = 3/4, B = 1, Q = 13/8, R = 1: P = 2, K = -1/2, G = 26/7 and
+        # A + BK = 1/4 exactly, so the gain gap decays at 2 ln(1/4) down to
+        # ~1e-48 at H = 40, far below any difference of O(1) numbers
+        sys_ = d.LQRSystem(A=[[0.75]], B=[[1.0]], Q=[[1.625]], R=[[1.0]], S=[[0.0]])
+        result = run_sweep(sys_, 40)
+        gains, costs = exact_scalar_gaps(0.75, 1, 1.625, 1, 2, 40)
+        for row, gain, cost in zip(result.rows, gains, costs):
+            assert row.err_L1_K == pytest.approx(float(abs(gain)), rel=1e-12)
+            assert row.cost_gap == pytest.approx(float(cost), rel=1e-12)
+        assert abs(result.slope - 2 * np.log(0.25)) <= 1e-8
+
     @pytest.mark.parametrize("plant", ["demo3x3", "random_unstable_with_k0"])
     def test_batched_errors_match_per_order_norms(self, plant, demo_system):
         # One stacked norm call runs the same SVD as one call per order, so
@@ -225,10 +237,10 @@ class TestRunSweep:
         result = run_sweep(sys_, H_max, K0=K0)
 
         work = sys_ if K0 is None else d.transform(sys_, K0).transformed
-        K = d.solve_dare(work).K
-        first, _ = d.solve_drc_orders(d.assemble(work, d.gramian(work.A, work.Q), H_max))
+        sol = d.solve_dare(work)
+        gain_gaps, _ = d.order_gaps(work, sol.P, sol.K, H_max)
         for row in result.rows:
-            assert row.err_L1_K == float(np.linalg.norm(first[row.H - 1] - K, 2))
+            assert row.err_L1_K == float(np.linalg.norm(gain_gaps[row.H - 1], 2))
         walls = {row.wall_ms for row in result.rows}
         assert len(walls) == 1
         (wall,) = walls

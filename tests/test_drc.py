@@ -134,30 +134,46 @@ class TestSolveDrc:
         assert exc.value.lambda_min == pytest.approx(-1.0, abs=1e-12)
 
 
-class TestSolveDrcOrders:
+class TestOrderGaps:
     def test_every_order_matches_its_own_solve(self):
         rng = default_rng(11)
         for _ in range(4):
             sys_ = random_system(rng)
+            sol = d.solve_dare(sys_)
             G = d.gramian(sys_.A, sys_.Q)
-            firsts, saveds = d.solve_drc_orders(d.assemble(sys_, G, 8))
-            assert firsts.shape == (8, sys_.n_u, sys_.n_x) and saveds.shape == (8,)
-            for H, (first, saved) in enumerate(zip(firsts, saveds), start=1):
+            gains, costs = d.order_gaps(sys_, sol.P, sol.K, 8)
+            assert gains.shape == (8, sys_.n_u, sys_.n_x) and costs.shape == (8,)
+            for H, (gain, cost) in enumerate(zip(gains, costs), start=1):
                 mats = direct_assemble(sys_, G, H)
                 policy = d.solve_drc(mats)
                 L = policy.stacked()
                 scale = 1 + np.linalg.norm(L, 2)
-                assert np.linalg.norm(first - policy.first, 2) <= 1e-10 * scale
+                assert np.linalg.norm(gain - (policy.first - sol.K), 2) <= 1e-10 * scale
                 # at the optimum trace(L'J + L'ML) = -trace(L'J)
-                assert saved == pytest.approx(-np.trace(L.T @ mats.J), rel=1e-10)
+                saved = -np.trace(L.T @ mats.J)
+                assert cost == pytest.approx(np.trace(G) - saved - sol.trace_P, abs=1e-10 * np.trace(G))
 
-    def test_indefinite_m_rejected(self):
-        bad = d.DRCSystemMatrices(
-            M=np.array([[1.0, 0.0], [0.0, -1.0]]), J=np.zeros((2, 1)), H=2
-        )
-        with pytest.raises(d.NotPositiveDefinite) as exc:
-            d.solve_drc_orders(bad)
-        assert exc.value.lambda_min == pytest.approx(-1.0, abs=1e-12)
+    # at rho = 1 - 1e-6 the dense oracle itself loses ~6 digits of L_1
+    @pytest.mark.parametrize("dynamics", sorted(set(SCALE_DYNAMICS) - {"rho1-1e-6"}))
+    @pytest.mark.parametrize("n_u", [2, 10])
+    def test_matches_dense_oracle_at_scale(self, n_u, dynamics):
+        rng = default_rng([n_u, 100, sorted(SCALE_DYNAMICS).index(dynamics)])
+        sys_ = system_with_dynamics(rng, SCALE_DYNAMICS[dynamics](rng), n_u)
+        sol = d.solve_dare(sys_)
+        G = d.gramian(sys_.A, sys_.Q)
+        gains, costs = d.order_gaps(sys_, sol.P, sol.K, 100)
+        for H in (1, 7, 30, 100):
+            mats = direct_assemble(sys_, G, H)
+            policy = d.solve_drc(mats)
+            gap = np.trace(G) + np.trace(policy.stacked().T @ mats.J) - sol.trace_P
+            # the dense route's own round-off sets both tolerances: on the
+            # Jordan plants its first block is off by ~1e-12
+            assert np.linalg.norm(gains[H - 1] - (policy.first - sol.K), 2) <= 1e-11 * (1 + np.linalg.norm(sol.K, 2))
+            assert abs(costs[H - 1] - gap) <= 1e-13 * np.trace(G)
+
+    def test_invalid_horizon(self, demo_system, demo_solution):
+        with pytest.raises(d.InvalidHorizon):
+            d.order_gaps(demo_system, demo_solution.P, demo_solution.K, 0)
 
 
 class TestDRCPolicy:
