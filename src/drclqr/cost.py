@@ -115,12 +115,10 @@ def cost_of_drc(sys: LQRSystem, G, policy: DRCPolicy) -> CostReport:
     """Average cost of an H-order DRC via trace(G + 2 L'J + L'ML).
 
     Assembles (M, J) at the policy's own order and evaluates the exact
-    quadratic cost identity; requires a stable A (otherwise the DRC cost is
-    infinite and the identity's ingredients do not exist).
+    quadratic cost identity.  G is the Gramian of (A, Q), which exists only
+    for a stable A (:func:`drclqr.lyapunov.gramian` refuses any other), so
+    A's stability is a precondition of G and is not checked again here.
     """
-    sr = spectral_radius(sys.A)
-    if sr >= 1.0:
-        raise Unstable(f"A has spectral radius {sr:.6g} >= 1; DRC cost diverges")
     mats = assemble(sys, G, policy.H)
     L = policy.stacked()
     value = float(np.trace(G + 2.0 * L.T @ mats.J + L.T @ mats.M @ L))

@@ -41,9 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InvalidHorizon, NotPositiveDefinite, Unstable
+from .exceptions import InvalidHorizon, NotPositiveDefinite
 from .lyapunov import gramian, solve_dsylvester
-from .model import LQRSystem, spectral_radius
+from .model import LQRSystem
 
 __all__ = [
     "DRCPolicy",
@@ -308,20 +308,18 @@ def truncation_residual(sys: LQRSystem, G, K, H: int) -> list:
     so after the solve the blocks cost O(H n_u n_x^2 + n_x^3 log H), not H
     products of n_x x n_x matrices.
 
-    Requires A and A+BK each stable (the tail otherwise diverges): the two
-    eigenvalue passes are these named :class:`Unstable` checks, which the
-    Sylvester solve, needing only rho(A) rho(A+BK) < 1, would not make.
+    G is the Gramian of (A, Q), which exists only for a stable A, so A's
+    stability is a precondition of G and is not checked again here.  The
+    tail converges exactly when rho(A) rho(A+BK) < 1, so A+BK itself may be
+    unstable; the solve's stop test proves that product below 1, or the
+    solve raises :class:`SingularPencil` naming it.  No eigenvalue pass is
+    taken unless the doubling fails.
     """
     if H < 1:
         raise InvalidHorizon(f"H must be >= 1, got {H}")
     K = np.atleast_2d(np.asarray(K, dtype=float))
     A, B = sys.A, sys.B
     A_cl = A + B @ K
-    for name, M in (("A", A), ("A+BK", A_cl)):
-        sr = spectral_radius(M)
-        if sr >= 1.0:
-            raise Unstable(f"{name} has spectral radius {sr:.6g} >= 1; tail sum diverges")
-
     W = -(A.T @ G @ B + sys.S.T) @ K
     Y = solve_dsylvester(A, A_cl, W)
 

@@ -18,7 +18,7 @@ from drclqr.cli import (
     save_system,
     write_csv,
 )
-from conftest import DEMO_PATH, SCALAR_UNSTABLE_PATH
+from conftest import DEMO_PATH, SCALAR_STABLE_PATH, SCALAR_UNSTABLE_PATH
 from numpy.random import default_rng
 from oracles import direct_assemble, exact_scalar_gaps, random_system, random_unstable_system
 
@@ -479,9 +479,31 @@ class TestDispatch:
         assert "--tol" in captured.err
 
     def test_unstable_sweep_without_k0_exits_one(self, tmp_path, capsys):
+        # the DRC commands too: gramian or order_gaps refuses the plant before any DRC routine runs
         path = write_doc(tmp_path, scalar_doc(A=[[1.5]]))
-        assert dispatch(["sweep", path, "--h-max", "3"]) == 1
-        assert "Unstable" in capsys.readouterr().err
+        for argv in (
+            ["sweep", path, "--h-max", "3"],
+            ["drc", path, "--h", "3"],
+            ["cost", path, "--h", "3"],
+            ["simulate", path, "--h", "3"],
+        ):
+            assert dispatch(argv) == 1, argv
+            err = capsys.readouterr().err
+            errors = [line for line in err.split("\n") if "error:" in line]
+            assert len(errors) == 1 and "Unstable" in errors[0], argv
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize("path", [DEMO_PATH, SCALAR_STABLE_PATH], ids=lambda path: path.stem)
+    def test_cost_gap_is_the_sweep_cost_gap(self, path, capsys):
+        # both read trace(P_H - P) off the Riccati recursion, not cost_drc - trace_P
+        assert dispatch(["sweep", str(path), "--h-max", "30"]) == 0
+        rows = (line.split(",") for line in capsys.readouterr().out.splitlines()[1:-1])
+        cost_gap = {int(fields[0]): fields[3] for fields in rows}
+        for H in (1, 10, 30):
+            assert dispatch(["cost", str(path), "--h", str(H)]) == 0
+            gap = capsys.readouterr().out.split("gap= ")[-1].strip()
+            assert gap == cost_gap[H]
+            assert float(gap) >= 0.0
 
     def test_prestabilized_sweep_runs(self, capsys):
         assert dispatch(["sweep", str(SCALAR_UNSTABLE_PATH), "--h-max", "4"]) == 0

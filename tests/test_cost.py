@@ -78,11 +78,6 @@ class TestCostOfDrc:
             value = d.cost_of_drc(demo_system, demo_gramian, policy).value
             assert value >= base - 1e-9
 
-    def test_unstable_plant_rejected(self):
-        policy = d.DRCPolicy(blocks=(np.zeros((1, 1)),))
-        with pytest.raises(d.Unstable):
-            d.cost_of_drc(scalar_system(a=1.5), np.eye(1), policy)
-
 
 class TestDisturbance:
     def test_pure_function_of_seed_and_step(self):

@@ -272,11 +272,6 @@ class TestTruncationResidual:
         rng = default_rng([int(1000 * rho), H])
         assert_matches_series_residual(system_with_dynamics(rng, scaled_orthogonal(rng, 40, rho), 2), H)
 
-    def test_unstable_plant_rejected(self):
-        sys_ = scalar_system(a=1.5)
-        with pytest.raises(d.Unstable):
-            d.truncation_residual(sys_, np.eye(1), np.array([[-1.0]]), H=2)
-
     def test_invalid_horizon(self, demo_system, demo_gramian, demo_solution):
         with pytest.raises(d.InvalidHorizon):
             d.truncation_residual(demo_system, demo_gramian, demo_solution.K, H=0)

@@ -17,6 +17,7 @@ from oracles import (
     scaled_orthogonal,
     series_dsylvester,
     series_gramian,
+    series_truncation_residual,
     similar_jordan,
 )
 
@@ -232,7 +233,12 @@ def identity_input_system(A):
     return d.LQRSystem(A=A, B=np.eye(n), Q=np.eye(n), R=np.eye(n), S=np.zeros((n, n)))
 
 
-@pytest.mark.parametrize("radius", [1.0, 1.0001])
+def closed_loop_system(radius):
+    """A = 0.5 I and a gain K that makes A+BK = triangular(radius)."""
+    return identity_input_system(0.5 * np.eye(2)), triangular(radius) - 0.5 * np.eye(2)
+
+
+@pytest.mark.parametrize("radius", [1.0, 1.0001, 1.5, 1.9])
 class TestUnstableFromSpectralRadius:
     def test_gramian(self, radius):
         with pytest.raises(d.Unstable, match="spectral radius"):
@@ -240,21 +246,30 @@ class TestUnstableFromSpectralRadius:
 
     def test_cost_of_gain_names_the_closed_loop(self, radius):
         # A itself is stable; the gain moves one closed-loop eigenvalue to radius
-        sys_ = identity_input_system(0.5 * np.eye(2))
-        K = triangular(radius) - 0.5 * np.eye(2)
+        sys_, K = closed_loop_system(radius)
         with pytest.raises(d.Unstable, match="closed loop A\\+BK"):
             d.cost_of_gain(sys_, K)
 
     def test_truncation_residual_names_a(self, radius):
+        # K = 0, so A+BK = A and the defect pencil's product is radius^2 >= 1
         sys_ = identity_input_system(triangular(radius))
-        with pytest.raises(d.Unstable, match="^A has spectral radius"):
+        product = re.escape(f"{radius * radius:.6g}")
+        with pytest.raises(d.SingularPencil, match=f"^rho\\(A\\) rho\\(B\\) = {product} >= 1"):
             d.truncation_residual(sys_, np.eye(2), np.zeros((2, 2)), 3)
 
     def test_truncation_residual_names_the_closed_loop(self, radius):
-        sys_ = identity_input_system(0.5 * np.eye(2))
-        K = triangular(radius) - 0.5 * np.eye(2)
-        with pytest.raises(d.Unstable, match="^A\\+BK has spectral radius"):
-            d.truncation_residual(sys_, np.eye(2), K, 3)
+        # A+BK has radius >= 1, but the pencil's product 0.5 radius is below 1, so the tail
+        # converges; at 1.9 the unscaled powers of A+BK overflow and the balanced retry sums it
+        sys_, K = closed_loop_system(radius)
+        blocks = d.truncation_residual(sys_, np.eye(2), K, 3)
+        for b, o in zip(blocks, series_truncation_residual(sys_, np.eye(2), K, 3), strict=True):
+            assert np.linalg.norm(b - o, 2) <= 1e-13 * np.linalg.norm(o, 2)
+
+
+def test_truncation_residual_refuses_a_divergent_product():
+    sys_, K = closed_loop_system(2.5)
+    with pytest.raises(d.SingularPencil, match="^rho\\(A\\) rho\\(B\\) = 1.25 >= 1"):
+        d.truncation_residual(sys_, np.eye(2), K, 3)
 
 
 @pytest.fixture
@@ -307,9 +322,9 @@ class TestEigenvaluePasses:
         d.cost_of_gain(demo_system, sol.K)
         assert eigvals_calls == []
 
-    def test_certify_pipeline_takes_five(self, eigvals_calls):
+    def test_certify_pipeline_takes_two(self, eigvals_calls):
         # the README pipeline plus the truncation residual, as one certify op:
-        # joint_certificate 2, cost_of_drc 1, truncation_residual 2
+        # joint_certificate 2; the Gramian and the defect solve prove their own radii
         H = 30
         sys_, _ = load_system_file(DEMO_PATH)
         sol = d.solve_dare(sys_)
@@ -322,7 +337,7 @@ class TestEigenvaluePasses:
         d.cost_of_drc(sys_, G, policy)
         d.cost_of_gain(sys_, sol.K)
         d.truncation_residual(sys_, G, sol.K, H)
-        assert len(eigvals_calls) == 5
+        assert len(eigvals_calls) == 2
 
     @pytest.mark.parametrize(
         "A",
