@@ -34,7 +34,7 @@ import numpy as np
 from .cost import drc_state_covariance
 from .drc import DRCPolicy
 from .exceptions import InvalidHorizon, NonFinite, NotPositiveDefinite
-from .model import LQRSystem, StabilityCertificate, spectral_norm
+from .model import LQRSystem, StabilityCertificate, cholesky, spectral_norm
 
 __all__ = [
     "BoundInputs",
@@ -107,14 +107,7 @@ def schur_lambda_min(sys: LQRSystem) -> float:
     lambda_min(W): at the round-off edge, lambda_min(W) below about
     eps ||W||, so can a W that :func:`validate_system` accepted.
     """
-    W = sys.joint_weight()
-    try:
-        L22 = np.linalg.cholesky(W)[sys.n_x :, sys.n_x :]
-    except np.linalg.LinAlgError as exc:
-        lam = float(np.linalg.eigvalsh(W)[0])
-        raise NotPositiveDefinite(
-            f"joint weight block is not positive definite (lambda_min ~ {lam:.6g})", lambda_min=lam
-        ) from exc
+    L22 = cholesky(sys.joint_weight(), "joint weight block")[sys.n_x :, sys.n_x :]
     return float(np.linalg.eigvalsh(L22 @ L22.T)[0])
 
 

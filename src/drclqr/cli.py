@@ -4,7 +4,8 @@ System files are strict JSON: keys "A", "B", "Q", "R", "S" (optionally "K0"),
 each a row-major array of arrays of finite JSON numbers (a string, a boolean
 or an integer beyond the double range is refused).  Unknown keys are
 rejected unless --lax is passed, so a typo'd weight name cannot silently turn
-into a default.
+into a default, and a key given twice is refused, so a stray copy of a
+matrix cannot silently replace the first.
 
 The sweep (one row per order H) is the package's headline experiment: it
 measures how fast the first DRC block converges to the optimal gain and
@@ -97,6 +98,16 @@ def _reject_constant(token):
     raise ParseError(f"non-finite number {token!r} in system file")
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict, refusing a key that appears twice (json keeps the last silently)."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ParseError(f"duplicate key {key!r} in system file")
+        doc[key] = value
+    return doc
+
+
 def _parse_matrix(key: str, value) -> np.ndarray:
     if not isinstance(value, list) or not value or not all(isinstance(r, list) for r in value):
         raise ParseError(f"field {key!r} must be a non-empty array of arrays")
@@ -118,7 +129,7 @@ def load_system_file(path, lax: bool = False):
     """Parse a system file; returns (LQRSystem, K0-or-None), validated."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, parse_constant=_reject_constant)
+            doc = json.load(fh, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -387,11 +398,11 @@ def _cmd_cost(args) -> int:
     sys_ = load_system(args.system, lax=args.lax)
     sol = solve_dare(sys_)
     gain_cost = cost_of_gain(sys_, sol.K).value
+    # the optimal order-H cost is trace(P_H): its gap is read off the Riccati recursion
+    gap = None if args.h is None else order_gaps(sys_, sol.P, sol.K, args.h)[1][args.h - 1]
     print(f"trace_P= {_fmt(sol.trace_P)}")
     print(f"cost_gain= {_fmt(gain_cost)}")
-    if args.h is not None:
-        # the optimal order-H cost is trace(P_H): its gap is read off the Riccati recursion
-        gap = order_gaps(sys_, sol.P, sol.K, args.h)[1][args.h - 1]
+    if gap is not None:
         print(f"cost_drc= {_fmt(sol.trace_P + gap)}")
         print(f"gap= {_fmt(gap)}")
     return 0
@@ -428,7 +439,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_witness(args) -> int:
     rng = np.random.default_rng(args.seed)
-    policy = DRCPolicy(blocks=tuple(rng.uniform(-1.0, 1.0, (1, args.n)) for _ in range(args.h)))
+    policy = DRCPolicy(blocks=rng.uniform(-1.0, 1.0, (args.h, 1, args.n)))
     lower, holds, cov = bounds_mod.instability_witness(args.n, args.h, policy, args.t)
     print(f"n= {args.n}")
     print(f"H= {args.h}")

@@ -87,11 +87,6 @@ class CostReport:
             raise ValueError(f"unknown method {self.method!r}, expected one of {COST_METHODS}")
 
 
-def _stage_weight(sys: LQRSystem, K: np.ndarray) -> np.ndarray:
-    """Q + K'RK + S'K + K'S: the stage cost contracted onto the state."""
-    return sys.Q + K.T @ sys.R @ K + sys.S.T @ K + K.T @ sys.S
-
-
 def cost_of_gain(sys: LQRSystem, K) -> CostReport:
     """Average cost of the state feedback u = Kx, by steady-state covariance.
 
@@ -107,7 +102,7 @@ def cost_of_gain(sys: LQRSystem, K) -> CostReport:
         sigma = gramian(A_cl.T, np.eye(sys.n_x))
     except Unstable as exc:
         raise Unstable(f"closed loop A+BK: {exc}") from exc
-    value = float(np.trace(sigma @ _stage_weight(sys, K)))
+    value = float(np.trace(sigma @ sys.stage_weight(K)))
     return CostReport(value=value, method="analytic_gain")
 
 
@@ -241,7 +236,7 @@ def simulate(sys: LQRSystem, controller, steps: int, burn_in: int = 1000, seed: 
         sr = spectral_radius(F)
         if sr >= 1.0:
             raise Unstable(f"closed loop A+BK has spectral radius {sr:.6g} >= 1")
-        weight = _stage_weight(sys, gain)  # stage cost x'W_K x
+        weight = sys.stage_weight(gain)  # stage cost x'W_K x
 
     x = np.zeros(n_x)
     n = steps - burn_in
@@ -288,12 +283,13 @@ def simulate(sys: LQRSystem, controller, steps: int, burn_in: int = 1000, seed: 
 def drc_state_covariance(sys: LQRSystem, policy: DRCPolicy, t: int) -> np.ndarray:
     """Exact state second moment once t disturbances have entered.
 
-    Under a DRC the state is a linear combination of past disturbances with
-    matrix coefficients C_k = A^k + sum_{j=1..k} A^{k-j} B L_j (and C_k =
-    A^{k-H} C_H once k exceeds the order H), so the second moment is
+    Under a DRC the state is a linear combination of past disturbances whose
+    matrix coefficients follow one recursion from C_0 = I,
 
-        I + sum_{k=1}^{min(H,t)-1} C_k C_k'
-          + sum_{k=H}^{t-1} A^{k-H} C_H C_H' (A^{k-H})' .
+        C_k = A C_{k-1} + B L_k   (k <= H) ,     C_k = A C_{k-1}   (k > H) ,
+
+    that is C_k = A^k + sum_{j <= min(k, H)} A^{k-j} B L_j, so the second
+    moment is I + sum_{k=1}^{t-1} C_k C_k'.
 
     t = 1 returns I (only the newest disturbance has arrived).  No stability
     is assumed: on an unstable plant this grows without bound, which is
@@ -302,16 +298,9 @@ def drc_state_covariance(sys: LQRSystem, policy: DRCPolicy, t: int) -> np.ndarra
     if t < 1:
         raise InvalidHorizon(f"t must be >= 1, got {t}")
     A, B = sys.A, sys.B
-    H = policy.H
     cov = np.eye(sys.n_x)
     C = np.eye(sys.n_x)
-    for k in range(1, min(H, t)):
-        C = A @ C + B @ policy.blocks[k - 1]
+    for k in range(1, t):
+        C = A @ C + B @ policy.blocks[k - 1] if k <= policy.H else A @ C
         cov += C @ C.T
-    if t > H:
-        C_H = A @ C + B @ policy.blocks[H - 1]
-        T = C_H
-        for _ in range(H, t):
-            cov += T @ T.T
-            T = A @ T
     return (cov + cov.T) / 2.0

@@ -29,8 +29,9 @@ what makes low-order DRCs good approximations of state feedback.
 
 Every block of J, of that defect and of an induced policy is a thin
 n_u x n_x row times a power of A, A' or A+BK: J_d = J_1 A^{d-1}.  Each stack
-is built one thin product per block, O(H n_u n_x^2), with no running
-n_x x n_x power.
+is one (H, n_u, n_x) array from :func:`drclqr.model.row_powers`, one thin
+product per block, O(H n_u n_x^2), with no running n_x x n_x power.  A
+policy holds its blocks the same way, as one read-only (H, n_u, n_x) array.
 The defect's Sylvester fixed point is solved by
 :func:`drclqr.lyapunov.solve_dsylvester`, the package's one general Stein solve.
 """
@@ -41,9 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InvalidHorizon, NotPositiveDefinite
+from .exceptions import InvalidHorizon
 from .lyapunov import gramian, solve_dsylvester
-from .model import LQRSystem
+from .model import LQRSystem, cholesky, row_powers
 
 __all__ = [
     "DRCPolicy",
@@ -58,34 +59,39 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DRCPolicy:
-    """An H-order disturbance-response controller: blocks L_1 ... L_H."""
+    """An H-order disturbance-response controller: blocks L_1 ... L_H.
 
-    blocks: tuple
+    ``blocks`` is given as any iterable of equally shaped blocks and held as
+    one read-only (H, n_u, n_x) array; a scalar block reads as 1 x 1 and a
+    1-D block as 1 x n_x, as :func:`numpy.atleast_2d` reads them.  Ragged or
+    empty input raises :class:`InvalidHorizon`.
+    """
+
+    blocks: np.ndarray
 
     def __post_init__(self):
-        blocks = tuple(np.atleast_2d(np.asarray(b, dtype=float)) for b in self.blocks)
-        if not blocks:
+        try:
+            blocks = np.array(list(self.blocks), dtype=float)
+        except ValueError as exc:  # ragged blocks
+            raise InvalidHorizon(f"DRC blocks must share one shape: {exc}") from exc
+        if not len(blocks):
             raise InvalidHorizon("a DRC policy needs at least one block")
-        shape = blocks[0].shape
-        for i, b in enumerate(blocks, start=1):
-            if b.shape != shape:
-                raise InvalidHorizon(
-                    f"block {i} has shape {b.shape}, expected {shape} like block 1"
-                )
-            b.setflags(write=False)
+        if blocks.ndim < 3:  # scalar or 1-D blocks
+            blocks = blocks.reshape(len(blocks), 1, -1)
+        blocks.setflags(write=False)
         object.__setattr__(self, "blocks", blocks)
 
     @property
     def H(self) -> int:
-        return len(self.blocks)
+        return self.blocks.shape[0]
 
     @property
     def n_u(self) -> int:
-        return self.blocks[0].shape[0]
+        return self.blocks.shape[1]
 
     @property
     def n_x(self) -> int:
-        return self.blocks[0].shape[1]
+        return self.blocks.shape[2]
 
     @property
     def first(self) -> np.ndarray:
@@ -93,8 +99,8 @@ class DRCPolicy:
         return self.blocks[0]
 
     def stacked(self) -> np.ndarray:
-        """The blocks stacked vertically into an (H*n_u) x n_x matrix."""
-        return np.vstack(self.blocks)
+        """The blocks stacked vertically into an (H*n_u) x n_x matrix: a read-only view, no copy."""
+        return self.blocks.reshape(-1, self.n_x)
 
     @staticmethod
     def from_stacked(L, H: int) -> "DRCPolicy":
@@ -102,8 +108,7 @@ class DRCPolicy:
         L = np.atleast_2d(np.asarray(L, dtype=float))
         if H < 1 or L.shape[0] % H != 0:
             raise InvalidHorizon(f"cannot split {L.shape[0]} rows into {H} equal blocks")
-        n_u = L.shape[0] // H
-        return DRCPolicy(blocks=tuple(L[k * n_u : (k + 1) * n_u] for k in range(H)))
+        return DRCPolicy(blocks=L.reshape(H, -1, L.shape[1]))
 
 
 @dataclass(frozen=True)
@@ -113,23 +118,6 @@ class DRCSystemMatrices:
     M: np.ndarray
     J: np.ndarray
     H: int
-
-
-def _row_powers(R: np.ndarray, A: np.ndarray, H: int) -> np.ndarray:
-    """R, RA, ..., RA^{H-1} as an (H, rows, n) array, one thin product per power.
-
-    Each power is the previous rows times A, O(rows n^2), so the stack costs
-    O(H rows n^2) and never forms an n x n power of A.  Row doubling (rows
-    [k, 2k) as rows [0, k) times A^k, with A^k from repeated squaring) takes
-    fewer calls but multiplies the round-off by the transient growth of a
-    non-normal A at every level: on Jordan blocks at H = 300 it lost two to
-    three digits that this running product keeps.
-    """
-    out = np.empty((H,) + R.shape)
-    out[0] = R
-    for k in range(1, H):
-        np.matmul(out[k - 1], A, out=out[k])
-    return out
 
 
 def assemble(sys: LQRSystem, G, H: int) -> DRCSystemMatrices:
@@ -154,7 +142,7 @@ def assemble(sys: LQRSystem, G, H: int) -> DRCSystemMatrices:
     n_u = sys.n_u
 
     BtG = B.T @ G
-    J = _row_powers(BtG @ A + sys.S, A, H)
+    J = row_powers(BtG @ A + sys.S, A, H)
 
     T0 = BtG @ B + sys.R
     T = np.concatenate(((T0 + T0.T)[None] / 2.0, J[: H - 1] @ B))  # T_0 .. T_{H-1}
@@ -166,23 +154,6 @@ def assemble(sys: LQRSystem, G, H: int) -> DRCSystemMatrices:
 
 
 _PANEL = 64  # rows per diagonal panel of the blocked forward substitution
-
-
-def _cholesky(M: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor L of the symmetric part of M, so that M = LL'.
-
-    A factorization failure raises :class:`NotPositiveDefinite` with a
-    lambda_min estimate; there is no least-squares fallback, by design.
-    """
-    M = (M + M.T) / 2.0
-    try:
-        return np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        lam = float(np.linalg.eigvalsh(M)[0])
-        raise NotPositiveDefinite(
-            f"assembled M is not positive definite (lambda_min ~ {lam:.6g})",
-            lambda_min=lam,
-        ) from exc
 
 
 def _forward(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -204,7 +175,7 @@ def solve_drc(matrices: DRCSystemMatrices) -> DRCPolicy:
     factorization failure means an assumption was violated upstream and
     raises :class:`NotPositiveDefinite` with a lambda_min estimate.
     """
-    L = _cholesky(matrices.M)
+    L = cholesky(matrices.M, "assembled M")
     z = _forward(L, -matrices.J)
     X = np.ascontiguousarray(_forward(L.T[::-1, ::-1], z[::-1])[::-1])
     return DRCPolicy.from_stacked(X, matrices.H)
@@ -267,7 +238,7 @@ def order_gaps(sys: LQRSystem, P, K, H_max: int):
     A, B = sys.A, sys.B
     X = sys.R + B.T @ P @ B
     D0 = gramian(A, K.T @ X @ K)
-    F = _row_powers(np.eye(sys.n_x), A + B @ K, H_max + 1)  # F^0 .. F^{H_max}
+    F = row_powers(np.eye(sys.n_x), A + B @ K, H_max + 1)  # F^0 .. F^{H_max}
     V = F[:H_max] @ B
     W = (F[:H_max] @ np.linalg.solve(X, B.T).T).transpose(0, 2, 1)  # X^{-1} V_i'
     Gamma = np.cumsum(V @ W, axis=0)  # Gamma_1 .. Gamma_{H_max}
@@ -284,11 +255,11 @@ def induced_drc(K, sys: LQRSystem, H: int) -> DRCPolicy:
     if H < 1:
         raise InvalidHorizon(f"H must be >= 1, got {H}")
     K = np.atleast_2d(np.asarray(K, dtype=float))
-    return DRCPolicy(blocks=tuple(_row_powers(K, sys.A + sys.B @ K, H)))
+    return DRCPolicy(blocks=row_powers(K, sys.A + sys.B @ K, H))
 
 
-def truncation_residual(sys: LQRSystem, G, K, H: int) -> list:
-    """Defect blocks left by the truncated induced policy, in closed form.
+def truncation_residual(sys: LQRSystem, G, K, H: int) -> np.ndarray:
+    """Defect blocks left by the truncated induced policy, as an (H, n_u, n_x) array.
 
     Substituting the first H blocks of the induced infinite-order policy of
     the optimal gain K into the order-H stationarity condition leaves
@@ -324,4 +295,4 @@ def truncation_residual(sys: LQRSystem, G, K, H: int) -> list:
     Y = solve_dsylvester(A, A_cl, W)
 
     Z = Y @ np.linalg.matrix_power(A_cl, H)
-    return list(_row_powers(B.T, A.T, H)[::-1] @ Z)  # block k: B'(A')^{H-k} Z
+    return row_powers(B.T, A.T, H)[::-1] @ Z  # block k: B'(A')^{H-k} Z

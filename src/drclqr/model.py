@@ -42,6 +42,12 @@ matrix's tau is re-read from its stored norms at that rate (its scan still
 closes at the same m).  The certificate records which route was taken in
 ``method``.  All norms here and elsewhere in the package are spectral
 (operator-2) norms.
+
+Two helpers serve the other modules and stay out of ``__all__``:
+:func:`row_powers`, the one running product behind the package's stacks of
+powers (the scan's batches, the DRC blocks and rows, the closed-loop powers
+of :func:`drclqr.drc.order_gaps`), and :func:`cholesky`, the one refusal of a
+matrix that must be positive definite.
 """
 
 from __future__ import annotations
@@ -92,6 +98,40 @@ def spectral_norm(M) -> float:
     if M.size == 0:
         return 0.0
     return float(np.linalg.norm(M, 2))
+
+
+def row_powers(R: np.ndarray, A: np.ndarray, H: int) -> np.ndarray:
+    """R, RA, ..., RA^{H-1} as an (H, rows, n) array, one running product.
+
+    Each power is the previous rows times A, O(rows n^2), so for thin rows
+    the stack costs O(H rows n^2) and never forms an n x n power of A.  Row
+    doubling (rows [k, 2k) as rows [0, k) times A^k, with A^k from repeated
+    squaring) takes fewer calls but multiplies the round-off by the transient
+    growth of a non-normal A at every level: on Jordan blocks at H = 300 it
+    lost two to three digits that this running product keeps.  The DRC
+    blocks, the defect's rows, the closed-loop powers of every order and the
+    certificate's scan all come from here.
+    """
+    out = np.empty((H,) + R.shape)
+    out[0] = R
+    for k in range(1, H):
+        np.matmul(out[k - 1], A, out=out[k])
+    return out
+
+
+def cholesky(M: np.ndarray, what: str) -> np.ndarray:
+    """Lower Cholesky factor L of the symmetric part of M, so that (M + M')/2 = LL'.
+
+    A factorization failure raises :class:`NotPositiveDefinite` naming
+    ``what``, with a lambda_min estimate; there is no least-squares fallback,
+    by design.
+    """
+    M = (M + M.T) / 2.0
+    try:
+        return np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
+        lam = float(np.linalg.eigvalsh(M)[0])
+        raise NotPositiveDefinite(f"{what} is not positive definite (lambda_min ~ {lam:.6g})", lambda_min=lam) from exc
 
 
 def _symmetrize(name: str, X: np.ndarray) -> np.ndarray:
@@ -166,6 +206,10 @@ class LQRSystem:
         """The (n_x+n_u) x (n_x+n_u) block matrix [[Q, S'], [S, R]]."""
         return np.block([[self.Q, self.S.T], [self.S, self.R]])
 
+    def stage_weight(self, K: np.ndarray) -> np.ndarray:
+        """Q + K'RK + S'K + K'S: the stage cost of u = Kx contracted onto the state."""
+        return self.Q + K.T @ self.R @ K + self.S.T @ K + K.T @ self.S
+
     def __repr__(self) -> str:  # keep reprs short; matrices can be large
         return f"LQRSystem(n_x={self.n_x}, n_u={self.n_u})"
 
@@ -239,15 +283,6 @@ class StabilityCertificate:
         return self.tau * float(np.exp(-self.rho * k))
 
 
-def _powers(M: np.ndarray, start: np.ndarray, count: int) -> np.ndarray:
-    """The running products start M, start M^2, ..., start M^count, stacked."""
-    block = np.empty((count,) + M.shape)
-    for i in range(count):
-        start = start @ M
-        block[i] = start
-    return block
-
-
 def _scan_norms(M: np.ndarray, rho: float):
     """||M^k|| for k < m, m the first power >= 1 with ||M^m|| e^{rho m} <= 1.
 
@@ -262,7 +297,7 @@ def _scan_norms(M: np.ndarray, rho: float):
     k, batch, batches = 0, 1, []
     while k < _SCAN_CAP:
         batch = min(batch, _SCAN_CAP - k)
-        block = _powers(M, power, batch)
+        block = row_powers(power @ M, M, batch)
         top = np.abs(block).max(axis=(1, 2))
         envelope = np.exp(-rho * np.arange(k + 1, k + batch + 1))
         sunk = (top > 0.0) & (top < _SCAN_UNDERFLOW)
@@ -277,7 +312,9 @@ def _scan_norms(M: np.ndarray, rho: float):
                 return None
             scanned = [np.ones(1)]
             for start, count, norms in batches:
-                scanned.append(np.linalg.norm(_powers(M, start, count), 2, axis=(1, 2)) if norms is None else norms)
+                if norms is None:
+                    norms = np.linalg.norm(row_powers(start @ M, M, count), 2, axis=(1, 2))
+                scanned.append(norms)
             return np.concatenate(scanned)[: k + i + 1]
         power = block[-1]
         k += batch

@@ -138,7 +138,7 @@ def solve_dare(sys: LQRSystem) -> RiccatiSolution:
         raise NoConvergence(f"DARE doubling did not settle within its cap of {_DOUBLING_CAP} steps")
     _, K = _dare_step(sys, H)
     F = sys.A + sys.B @ K
-    P = gramian(F, sys.Q + K.T @ sys.R @ K + sys.S.T @ K + K.T @ sys.S)
+    P = gramian(F, sys.stage_weight(K))
     P_next, K = _dare_step(sys, P)
     return RiccatiSolution(
         P=P,

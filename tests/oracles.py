@@ -142,6 +142,23 @@ def extended_drc_rows(sys, G, H: int) -> np.ndarray:
     return np.vstack(rows).astype(float)
 
 
+def impulse_covariance(sys_, policy, t: int) -> np.ndarray:
+    """State second moment after t disturbances under a DRC, from its definition.
+
+    I + sum_{k=1}^{t-1} C_k C_k' with C_k = A^k + sum_{j=1}^{min(k, H)}
+    A^{k-j} B L_j, every power of A formed afresh by ``matrix_power``, where
+    the package carries one recursion C_k = A C_{k-1} + B L_k.
+    """
+    A, B, H = sys_.A, sys_.B, policy.H
+    cov = np.eye(sys_.n_x)
+    for k in range(1, t):
+        C = np.linalg.matrix_power(A, k)
+        for j in range(1, min(k, H) + 1):
+            C = C + np.linalg.matrix_power(A, k - j) @ B @ policy.blocks[j - 1]
+        cov += C @ C.T
+    return cov
+
+
 def kron_dsylvester(A, B, C):
     """Direct vectorized solve of A'XB + C = X (O(n^6), test use only).
 

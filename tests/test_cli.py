@@ -122,6 +122,17 @@ class TestLoadSystem:
             load_system_file(path)
         assert what in str(exc.value)
 
+    def test_repeated_key_rejected(self, tmp_path, capsys):
+        # json.load keeps the last of two equal keys; the loader refuses the file instead
+        path = tmp_path / "sys.json"
+        path.write_text('{"A": [[0.5]], "A": [[1.5]], "B": [[1.0]], "Q": [[1.0]], "R": [[1.0]], "S": [[0.0]]}')
+        with pytest.raises(d.ParseError, match="duplicate key 'A'"):
+            load_system_file(path)
+        assert dispatch(["dare", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert "ParseError" in captured.err
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(d.ParseError, match="cannot read"):
             load_system_file(str(tmp_path / "nope.json"))
@@ -479,7 +490,8 @@ class TestDispatch:
         assert "--tol" in captured.err
 
     def test_unstable_sweep_without_k0_exits_one(self, tmp_path, capsys):
-        # the DRC commands too: gramian or order_gaps refuses the plant before any DRC routine runs
+        # the DRC commands too: gramian or order_gaps refuses the plant before any DRC
+        # routine runs, and every command computes all it prints before printing
         path = write_doc(tmp_path, scalar_doc(A=[[1.5]]))
         for argv in (
             ["sweep", path, "--h-max", "3"],
@@ -488,7 +500,8 @@ class TestDispatch:
             ["simulate", path, "--h", "3"],
         ):
             assert dispatch(argv) == 1, argv
-            err = capsys.readouterr().err
+            out, err = capsys.readouterr()
+            assert out == "", argv
             errors = [line for line in err.split("\n") if "error:" in line]
             assert len(errors) == 1 and "Unstable" in errors[0], argv
             assert "Traceback" not in err

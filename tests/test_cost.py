@@ -11,7 +11,7 @@ from numpy.random import default_rng
 import drclqr as d
 from drclqr.cost import _BLOCK, COST_METHODS, _noise, _states, disturbance
 from conftest import DEMO_PATH
-from oracles import box_muller_noise, kron_gramian, loop_simulate
+from oracles import box_muller_noise, impulse_covariance, kron_gramian, loop_simulate, random_system
 
 
 def scalar_system(a=0.5, b=1.0, q=1.0, r=1.0, s=0.0):
@@ -339,6 +339,19 @@ class TestDrcStateCovariance:
         exact = d.drc_state_covariance(demo_system, policy, t)
         se = np.sqrt((np.outer(np.diag(exact), np.diag(exact)) + exact**2) / N)
         assert np.all(np.abs(sample - exact) <= 5.0 * se)
+
+    @pytest.mark.parametrize("H", [1, 3, 5])
+    @pytest.mark.parametrize("plant", ["demo", "witness", "random"])
+    def test_matches_the_impulse_definition(self, plant, H, demo_system):
+        # t = 1, H, H + 1 and 3H: before, at and past the order, where the policy's
+        # term leaves the recursion; the witness plant is unstable
+        rng = default_rng([H, ["demo", "witness", "random"].index(plant)])
+        sys_ = {"demo": demo_system, "witness": d.witness_plant(4), "random": random_system(rng)}[plant]
+        policy = d.DRCPolicy(blocks=rng.uniform(-1.0, 1.0, (H, sys_.n_u, sys_.n_x)))
+        for t in (1, H, H + 1, 3 * H):
+            exact = impulse_covariance(sys_, policy, t)
+            cov = d.drc_state_covariance(sys_, policy, t)
+            assert np.linalg.norm(cov - exact, 2) <= 1e-12 * np.linalg.norm(exact, 2), t
 
     def test_zero_horizon_rejected(self, demo_system):
         policy = d.DRCPolicy(blocks=(np.zeros((1, 3)),))

@@ -198,6 +198,32 @@ class TestDRCPolicy:
         with pytest.raises(d.InvalidHorizon):
             d.DRCPolicy.from_stacked(np.zeros((5, 2)), 2)
 
+    def test_blocks_are_one_read_only_array(self):
+        policy = d.DRCPolicy(blocks=[default_rng(4).normal(size=(2, 3)) for _ in range(4)])
+        assert isinstance(policy.blocks, np.ndarray) and policy.blocks.shape == (4, 2, 3)
+        assert np.shares_memory(policy.first, policy.blocks)
+        with pytest.raises(ValueError):
+            policy.blocks[0, 0, 0] = 1.0
+
+    def test_stacked_is_a_view_of_the_blocks(self):
+        policy = d.DRCPolicy(blocks=default_rng(5).normal(size=(4, 2, 3)))
+        stacked = policy.stacked()
+        assert stacked.shape == (8, 3) and np.shares_memory(stacked, policy.blocks)
+        assert np.array_equal(stacked[2:4], policy.blocks[1])
+
+    def test_scalar_and_vector_blocks_read_as_atleast_2d(self):
+        scalar = d.DRCPolicy(blocks=(0.5, -0.25))
+        assert (scalar.H, scalar.n_u, scalar.n_x) == (2, 1, 1)
+        assert np.array_equal(scalar.stacked(), [[0.5], [-0.25]])
+        vector = d.DRCPolicy(blocks=(np.arange(3.0), np.ones(3)))
+        assert (vector.H, vector.n_u, vector.n_x) == (2, 1, 3)
+        assert np.array_equal(vector.stacked(), [[0.0, 1.0, 2.0], [1.0, 1.0, 1.0]])
+
+    def test_generator_of_blocks(self):
+        policy = d.DRCPolicy(blocks=(np.full((1, 2), k) for k in range(3)))
+        assert (policy.H, policy.n_u, policy.n_x) == (3, 1, 2)
+        assert np.array_equal(policy.stacked()[:, 0], [0.0, 1.0, 2.0])
+
 
 class TestInducedDrc:
     def test_first_block_is_the_gain(self, demo_system, demo_solution):
@@ -271,6 +297,10 @@ class TestTruncationResidual:
     def test_matches_series_oracle_at_scale(self, rho, H):
         rng = default_rng([int(1000 * rho), H])
         assert_matches_series_residual(system_with_dynamics(rng, scaled_orthogonal(rng, 40, rho), 2), H)
+
+    def test_blocks_are_one_array(self, demo_system, demo_gramian, demo_solution):
+        blocks = d.truncation_residual(demo_system, demo_gramian, demo_solution.K, H=4)
+        assert isinstance(blocks, np.ndarray) and blocks.shape == (4, demo_system.n_u, demo_system.n_x)
 
     def test_invalid_horizon(self, demo_system, demo_gramian, demo_solution):
         with pytest.raises(d.InvalidHorizon):
