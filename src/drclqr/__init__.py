@@ -50,7 +50,6 @@ from .exceptions import (
     NotPositiveDefinite,
     NotStabilizing,
     ParseError,
-    SingularInnerSolve,
     SingularPencil,
     Unstable,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "ParseError",
     "PrestabilizedSystem",
     "RiccatiSolution",
-    "SingularInnerSolve",
     "SingularPencil",
     "StabilityCertificate",
     "SweepResult",

@@ -7,6 +7,15 @@ rejected unless --lax is passed, so a typo'd weight name cannot silently turn
 into a default, and a key given twice is refused, so a stray copy of a
 matrix cannot silently replace the first.
 
+A file's K0 is applied by the commands that need a stable plant, and only
+by them: sweep, drc, cost --h and simulate --h solve the pre-stabilized
+system transform(sys, K0).transformed, whose optimal gain is K - K0, so an
+unstable plant with a stabilizing K0 is a valid input to each.  On such a
+file drc prints L1= as recover_gain(K0, L1), which approximates the plant's
+optimal gain K; its solve_residual and cost are the transformed system's,
+whose cost is the plant's under u = K0 x + v.  validate, dare, and cost and
+simulate without --h solve the plant as loaded.
+
 The sweep (one row per order H) is the package's headline experiment: it
 measures how fast the first DRC block converges to the optimal gain and
 checks the measurement against the certified bounds, emitting CSV with the
@@ -56,7 +65,7 @@ from .drc import DRCPolicy, assemble, order_gaps, solve_drc
 from .exceptions import DimensionMismatch, DrclqrError, ParseError, Unstable
 from .lyapunov import gramian
 from .model import LQRSystem, joint_certificate, spectral_radius, validate_system
-from .prestabilize import transform
+from .prestabilize import recover_gain, transform
 from .riccati import solve_dare
 
 __all__ = [
@@ -223,13 +232,13 @@ def _fit_slope(rows) -> float:
     return float(np.polyfit(hs, es, 1)[0])
 
 
-def run_sweep(sys_: LQRSystem, H_max: int, K0=None) -> SweepResult:
+def run_sweep(sys_: LQRSystem, H_max: int) -> SweepResult:
     """Measure gain-gap and cost-gap decay for H = 1..H_max against the bounds.
 
-    On an unstable plant a pre-stabilizing K0 is required; all quantities
-    (gain, Gramian, certificate, bounds, gaps) are then computed on the
-    transformed system, whose optimal gain is K - K0.  One joint certificate
-    for (A, A+BK) is computed up front and reused for every H, so every bound
+    The plant must be stable; an unstable one is first pre-stabilized with
+    :func:`drclqr.prestabilize.transform`, whose transformed system is swept
+    (the CLI does this for a file with a K0).  One joint certificate for
+    (A, A+BK) is computed up front and reused for every H, so every bound
     shares the same constants.
 
     The optimal order-H DRC is the finite-horizon Riccati recursion from
@@ -242,21 +251,18 @@ def run_sweep(sys_: LQRSystem, H_max: int, K0=None) -> SweepResult:
     """
     if H_max < 1:
         raise ValueError(f"H_max must be >= 1, got {H_max}")
-    work = sys_
-    if K0 is not None:
-        work = transform(sys_, K0).transformed
-    elif (sr := spectral_radius(sys_.A)) >= 1.0:
+    if (sr := spectral_radius(sys_.A)) >= 1.0:
         raise Unstable(f"A has spectral radius {sr:.6g} >= 1; a pre-stabilizing K0 is required")
 
-    sol = solve_dare(work)
+    sol = solve_dare(sys_)
     log.info("DARE solved: %d doubling steps, residual %.3e", sol.iterations, sol.residual_norm)
-    cert = joint_certificate(work.A, work.A + work.B @ sol.K)
+    cert = joint_certificate(sys_.A, sys_.A + sys_.B @ sol.K)
     log.info(
         "joint certificate: tau=%.6g rho=%.6g (method=%s, k_max=%d)", cert.tau, cert.rho, cert.method, cert.k_max
     )
-    inp = bounds_mod.BoundInputs.from_system(work, sol.K, cert)
+    inp = bounds_mod.BoundInputs.from_system(sys_, sol.K, cert)
 
-    gain_gaps, cost_gaps = order_gaps(work, sol.P, sol.K, H_max)
+    gain_gaps, cost_gaps = order_gaps(sys_, sol.P, sol.K, H_max)
 
     t0 = time.perf_counter()
     errs = np.linalg.norm(gain_gaps, 2, axis=(1, 2))
@@ -376,6 +382,16 @@ def _cmd_dare(args) -> int:
     return 0
 
 
+def _stable_problem(args):
+    """The stable problem a DRC command solves, and the file's K0 (or None).
+
+    A file with a K0 poses its pre-stabilized system, whose optimal gain is
+    K - K0; a file without one poses its plant as loaded.
+    """
+    sys_, K0 = load_system_file(args.system, lax=args.lax)
+    return (sys_, K0) if K0 is None else (transform(sys_, K0).transformed, K0)
+
+
 def _solved_policy(sys_: LQRSystem, H: int):
     G = gramian(sys_.A, sys_.Q)
     mats = assemble(sys_, G, H)
@@ -384,18 +400,18 @@ def _solved_policy(sys_: LQRSystem, H: int):
 
 
 def _cmd_drc(args) -> int:
-    sys_ = load_system(args.system, lax=args.lax)
+    sys_, K0 = _stable_problem(args)
     G, mats, policy = _solved_policy(sys_, args.h)
     residual = float(np.linalg.norm(mats.M @ policy.stacked() + mats.J, 2))
     print(f"H= {policy.H}")
-    print(f"L1= {_fmt_matrix(policy.first)}")
+    print(f"L1= {_fmt_matrix(policy.first if K0 is None else recover_gain(K0, policy.first))}")
     print(f"solve_residual= {_fmt(residual)}")
     print(f"cost= {_fmt(cost_of_drc(sys_, G, policy).value)}")
     return 0
 
 
 def _cmd_cost(args) -> int:
-    sys_ = load_system(args.system, lax=args.lax)
+    sys_ = load_system(args.system, lax=args.lax) if args.h is None else _stable_problem(args)[0]
     sol = solve_dare(sys_)
     gain_cost = cost_of_gain(sys_, sol.K).value
     # the optimal order-H cost is trace(P_H): its gap is read off the Riccati recursion
@@ -409,22 +425,23 @@ def _cmd_cost(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    sys_, K0 = load_system_file(args.system, lax=args.lax)
+    sys_, _ = _stable_problem(args)
     if args.out is None:
-        write_csv(run_sweep(sys_, args.h_max, K0=K0), _sys.stdout)
+        write_csv(run_sweep(sys_, args.h_max), _sys.stdout)
         return 0
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        write_csv(run_sweep(sys_, args.h_max, K0=K0), fh)
+        write_csv(run_sweep(sys_, args.h_max), fh)
     log.info("wrote %d rows to %s", args.h_max, args.out)
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    sys_ = load_system(args.system, lax=args.lax)
     if args.h is None:
+        sys_ = load_system(args.system, lax=args.lax)
         controller = solve_dare(sys_).K
         label = "gain"
     else:
+        sys_, _ = _stable_problem(args)
         _, _, controller = _solved_policy(sys_, args.h)
         label = f"drc_H{args.h}"
     report = simulate(sys_, controller, steps=args.steps, burn_in=args.burn_in, seed=args.seed)

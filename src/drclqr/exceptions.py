@@ -42,10 +42,6 @@ class NoConvergence(DrclqrError):
     """An iterative solver hit its iteration cap before meeting tolerance."""
 
 
-class SingularInnerSolve(DrclqrError):
-    """The inner matrix R + B'PB of a Riccati step is not positive definite."""
-
-
 class SingularPencil(DrclqrError):
     """The Stein series of A'XB + C = X diverges: rho(A) rho(B) >= 1."""
 

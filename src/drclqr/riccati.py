@@ -35,11 +35,12 @@ fixed-point steps, so a solve that has not stopped by then never will.  The
 doubling carries round-off of up to ~1e-12 relative on near-marginal plants,
 so one Newton (Hewer) step follows: P is re-solved as the cost of the gain
 it defines, one symmetric Stein solve by :func:`drclqr.lyapunov.gramian`.
-Gain and residual come from one Riccati step at that P.  A Cholesky
-factorization checks that its inner matrix R + B'PB (and, before the
-doubling, R itself) is positive definite, and a plain solve follows; if a
-factorization fails the standing positive-definiteness assumption has been
-violated somewhere upstream and we raise rather than regularize.
+Gain and residual come from one Riccati step at that P.  The package's one
+positive-definiteness refusal, :func:`drclqr.model.cholesky`, checks that
+its inner matrix R + B'PB (and, before the doubling, R itself) is positive
+definite, and a plain solve follows; if a factorization fails the standing
+positive-definiteness assumption has been violated somewhere upstream and
+:class:`NotPositiveDefinite` is raised rather than regularized.
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import NoConvergence, SingularInnerSolve
+from .exceptions import NoConvergence
 from .lyapunov import gramian
-from .model import LQRSystem, spectral_norm
+from .model import LQRSystem, cholesky, spectral_norm
 
 __all__ = ["RiccatiSolution", "solve_dare", "dare_residual"]
 
@@ -75,19 +76,11 @@ class RiccatiSolution:
         return float(np.trace(self.P))
 
 
-def _check_pd(name: str, M: np.ndarray):
-    """Raise :class:`SingularInnerSolve` unless M has a Cholesky factor."""
-    try:
-        np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise SingularInnerSolve(f"{name} is not positive definite: {exc}") from exc
-
-
 def _dare_step(sys: LQRSystem, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One Riccati iteration; returns (P_next, K) for the current P."""
     inner = sys.R + sys.B.T @ P @ sys.B
     inner = (inner + inner.T) / 2.0
-    _check_pd("R + B'PB", inner)
+    cholesky(inner, "R + B'PB")
     rhs = sys.B.T @ P @ sys.A + sys.S
     K = -np.linalg.solve(inner, rhs)
     P_next = sys.A.T @ P @ sys.A + rhs.T @ K + sys.Q
@@ -106,9 +99,9 @@ def solve_dare(sys: LQRSystem) -> RiccatiSolution:
     and is not a parameter (module docstring).
     Non-finite iterates, or no convergence within ``_DOUBLING_CAP`` steps,
     signal an unstabilizable pair and raise :class:`NoConvergence`; an R
-    that is not positive definite raises :class:`SingularInnerSolve`.
+    that is not positive definite raises :class:`NotPositiveDefinite`.
     """
-    _check_pd("R", sys.R)
+    cholesky(sys.R, "R")
     R_inv_S, R_inv_Bt = np.hsplit(np.linalg.solve(sys.R, np.hstack((sys.S, sys.B.T))), [sys.n_x])
     A = sys.A - sys.B @ R_inv_S
     G = sys.B @ R_inv_Bt

@@ -172,12 +172,12 @@ def test_criterion_6_schur_floor_random_batch():
 # -- 7: pre-stabilized synthesis on unstable plants ----------------------------
 
 def _check_prestabilized_sweep(sys_, K0):
-    result = run_sweep(sys_, 30, K0=K0)
+    ps = d.transform(sys_, K0)
+    result = run_sweep(ps.transformed, 30)
     for row in result.rows:
         assert row.err_L1_K <= row.bound_thm1
 
     direct = d.solve_dare(sys_)
-    ps = d.transform(sys_, K0)
     G_bar = d.gramian(ps.transformed.A, ps.transformed.Q)
     policy = d.solve_drc(d.assemble(ps.transformed, G_bar, 30))
     recovered = d.recover_gain(K0, policy.first)

@@ -18,7 +18,7 @@ from drclqr.cli import (
     save_system,
     write_csv,
 )
-from conftest import DEMO_PATH, SCALAR_STABLE_PATH, SCALAR_UNSTABLE_PATH
+from conftest import DEMO_PATH, SCALAR_STABLE_PATH, SCALAR_UNSTABLE_PATH, SYSTEMS_DIR
 from numpy.random import default_rng
 from oracles import direct_assemble, exact_scalar_gaps, random_system, random_unstable_system
 
@@ -178,7 +178,7 @@ class TestRunSweep:
         sys_ = d.LQRSystem(A=[[1.5]], B=[[1.0]], Q=[[1.0]], R=[[1.0]], S=[[0.0]])
         with pytest.raises(d.Unstable, match=r"spectral radius 1\.5 >= 1; a pre-stabilizing K0"):
             run_sweep(sys_, 3)
-        result = run_sweep(sys_, 5, K0=np.array([[-1.0]]))
+        result = run_sweep(d.transform(sys_, np.array([[-1.0]])).transformed, 5)
         for row in result.rows:
             assert row.err_L1_K <= row.bound_thm1
 
@@ -207,9 +207,9 @@ class TestRunSweep:
         else:
             sys_ = random_unstable_system(default_rng(7))
             K0 = d.default_prestabilizer(sys_)
-        result = run_sweep(sys_, 30, K0=K0)
-
         work = sys_ if K0 is None else d.transform(sys_, K0).transformed
+        result = run_sweep(work, 30)
+
         sol = d.solve_dare(work)
         G = d.gramian(work.A, work.Q)
         tol_err = 1e-12 * (1 + np.linalg.norm(sol.K, 2))
@@ -245,9 +245,9 @@ class TestRunSweep:
             sys_ = random_unstable_system(default_rng(7))
             K0 = d.default_prestabilizer(sys_)
         H_max = 300
-        result = run_sweep(sys_, H_max, K0=K0)
-
         work = sys_ if K0 is None else d.transform(sys_, K0).transformed
+        result = run_sweep(work, H_max)
+
         sol = d.solve_dare(work)
         gain_gaps, _ = d.order_gaps(work, sol.P, sol.K, H_max)
         for row in result.rows:
@@ -506,13 +506,16 @@ class TestDispatch:
             assert len(errors) == 1 and "Unstable" in errors[0], argv
             assert "Traceback" not in err
 
-    @pytest.mark.parametrize("path", [DEMO_PATH, SCALAR_STABLE_PATH], ids=lambda path: path.stem)
+    @pytest.mark.parametrize(
+        "path", [DEMO_PATH, SCALAR_STABLE_PATH, SCALAR_UNSTABLE_PATH], ids=lambda path: path.stem
+    )
     def test_cost_gap_is_the_sweep_cost_gap(self, path, capsys):
-        # both read trace(P_H - P) off the Riccati recursion, not cost_drc - trace_P
+        # both read trace(P_H - P) off the Riccati recursion, not cost_drc - trace_P,
+        # and on a file with a K0 both solve its pre-stabilized system
         assert dispatch(["sweep", str(path), "--h-max", "30"]) == 0
         rows = (line.split(",") for line in capsys.readouterr().out.splitlines()[1:-1])
         cost_gap = {int(fields[0]): fields[3] for fields in rows}
-        for H in (1, 10, 30):
+        for H in (1, 5, 10, 30):
             assert dispatch(["cost", str(path), "--h", str(H)]) == 0
             gap = capsys.readouterr().out.split("gap= ")[-1].strip()
             assert gap == cost_gap[H]
@@ -564,3 +567,40 @@ class TestDispatch:
         monkeypatch.setenv("DRC_LQR_LOG", "chatty")
         assert dispatch(["validate", str(DEMO_PATH)]) == 0
         assert "DRC_LQR_LOG" in capsys.readouterr().err
+
+
+SUBCOMMANDS = [
+    ["validate"],
+    ["dare"],
+    ["drc", "--h", "5"],
+    ["cost"],
+    ["cost", "--h", "5"],
+    ["sweep", "--h-max", "5"],
+    ["simulate", "--steps", "3000"],
+    ["simulate", "--steps", "3000", "--h", "5"],
+]
+
+
+class TestEverySubcommandOnEverySystemFile:
+    @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=" ".join)
+    @pytest.mark.parametrize("path", sorted(SYSTEMS_DIR.glob("*.json")), ids=lambda path: path.stem)
+    def test_exits_zero_with_a_clean_stderr(self, path, argv, capsys):
+        # a plant that is unstable but carries a stabilizing K0 is a valid
+        # problem for every command, the DRC commands included
+        assert dispatch([argv[0], str(path), *argv[1:]]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out
+
+    @pytest.mark.parametrize("H", [1, 5, 10])
+    def test_drc_on_a_k0_file_prints_the_plants_gain(self, H, capsys):
+        # drc solves the pre-stabilized system and prints K0 + L1, which
+        # approximates the plant's optimal gain as closely as the sweep reports
+        assert dispatch(["drc", str(SCALAR_UNSTABLE_PATH), "--h", str(H)]) == 0
+        printed = float(capsys.readouterr().out.split("L1= [[")[1].split("]]")[0])
+        sys_, K0 = load_system_file(SCALAR_UNSTABLE_PATH)
+        work = d.transform(sys_, K0).transformed
+        L1 = d.recover_gain(K0, d.solve_drc(d.assemble(work, d.gramian(work.A, work.Q), H)).first)
+        assert printed == float(f"{L1[0, 0]:.12g}")
+        err = np.linalg.norm(L1 - d.solve_dare(sys_).K, 2)
+        assert err == pytest.approx(run_sweep(work, H).rows[-1].err_L1_K, rel=1e-6)

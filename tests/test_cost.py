@@ -11,7 +11,15 @@ from numpy.random import default_rng
 import drclqr as d
 from drclqr.cost import _BLOCK, COST_METHODS, _noise, _states, disturbance
 from conftest import DEMO_PATH
-from oracles import box_muller_noise, impulse_covariance, kron_gramian, loop_simulate, random_system
+from oracles import (
+    box_muller_noise,
+    impulse_covariance,
+    kron_gramian,
+    loop_simulate,
+    random_system,
+    scaled_orthogonal,
+    system_with_dynamics,
+)
 
 
 def scalar_system(a=0.5, b=1.0, q=1.0, r=1.0, s=0.0):
@@ -168,6 +176,21 @@ class TestSimulate:
         ref = loop_simulate(sys_, controller, steps=steps, burn_in=burn_in, seed=4)
         assert rep.value == pytest.approx(ref.value, rel=1e-10)
         assert rep.std_error == pytest.approx(ref.std_error, rel=1e-10)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_rollout_cost_is_unbiased_at_benchmark_scale(self, seed):
+        # n_x 10, n_u 2, A = 0.9 x orthogonal, the optimal gain and the
+        # order-10 DRC, 20 000 steps after a 1000-step burn-in: a rollout
+        # whose statistics move (not only its speed) leaves the band of
+        # 5 batch-means standard errors around the analytic costs
+        rng = default_rng(9301)
+        sys_ = system_with_dynamics(rng, scaled_orthogonal(rng, 10, 0.9), 2)
+        K = d.solve_dare(sys_).K
+        G = d.gramian(sys_.A, sys_.Q)
+        policy = d.solve_drc(d.assemble(sys_, G, 10))
+        for controller, exact in ((K, d.cost_of_gain(sys_, K)), (policy, d.cost_of_drc(sys_, G, policy))):
+            rep = d.simulate(sys_, controller, steps=20_000, burn_in=1000, seed=seed)
+            assert abs(rep.value - exact.value) <= 5.0 * rep.std_error
 
     @pytest.mark.parametrize(
         "sys_, H",

@@ -80,3 +80,27 @@ def test_no_module_reaches_into_another_modules_private_names():
     for path in Path(d.__file__).parent.glob("*.py"):
         uses |= _private_uses(path.stem, ast.parse(path.read_text()))
     assert uses == set()
+
+
+def _linalg_cholesky_uses(tree):
+    """Line numbers of every ``<x>.linalg.cholesky`` and ``from numpy.linalg import cholesky``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "cholesky":
+            if isinstance(node.value, ast.Attribute) and node.value.attr == "linalg":
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            lines.extend(node.lineno for alias in node.names if alias.name == "cholesky")
+    return lines
+
+
+def test_only_model_factors_by_cholesky():
+    # model.cholesky is the one refusal of a matrix that is not positive
+    # definite: every other module factors through it, so every refusal
+    # raises NotPositiveDefinite with its lambda_min estimate
+    uses = {
+        path.stem: lines
+        for path in Path(d.__file__).parent.glob("*.py")
+        if (lines := _linalg_cholesky_uses(ast.parse(path.read_text())))
+    }
+    assert uses.keys() == {"model"}

@@ -181,5 +181,6 @@ def test_doubling_cap_raises_no_convergence(demo_system, monkeypatch):
 
 def test_indefinite_inner_matrix_raises():
     # P = -10 makes R + B'PB = -9 on the scalar system
-    with pytest.raises(d.SingularInnerSolve):
+    with pytest.raises(d.NotPositiveDefinite, match=r"R \+ B'PB") as info:
         d.dare_residual([[-10.0]], scalar_system(a=0.5))
+    assert info.value.lambda_min == pytest.approx(-9.0)
