@@ -34,7 +34,7 @@ import numpy as np
 from .cost import drc_state_covariance
 from .drc import DRCPolicy
 from .exceptions import InvalidHorizon, NonFinite, NotPositiveDefinite
-from .model import LQRSystem, StabilityCertificate, cholesky, spectral_norm
+from .model import LQRSystem, StabilityCertificate, cholesky, row_powers, spectral_norm
 
 __all__ = [
     "BoundInputs",
@@ -83,7 +83,6 @@ class BoundInputs:
 
     @classmethod
     def from_system(cls, sys: LQRSystem, K, cert: StabilityCertificate) -> "BoundInputs":
-        K = np.atleast_2d(np.asarray(K, dtype=float))
         return cls(
             cert=cert,
             normB=spectral_norm(sys.B),
@@ -227,24 +226,13 @@ def instability_witness(n: int, H: int, policy: DRCPolicy, t: int):
     if t >= 512:
         raise NonFinite(f"witness covariance or bound overflowed by t={t}", step=t)
     sys = witness_plant(n)
-    A = sys.A
 
     # both sides grow like 4^t: an overflow is reported below, never compared
     with np.errstate(over="ignore", invalid="ignore"):
-        power = np.eye(n)  # walks through A^0 .. A^H
-        for _ in range(H):
-            power = power @ A
-        c = float(power[0, :] @ power[0, :])  # e_1' A^H (A^H)' e_1
-
-        e1 = np.zeros(n)
-        e1[0] = 1.0
-        bound = np.zeros((n, n))
-        v = e1
-        for _ in range(H, t + 1):
-            bound += np.outer(v, v)
-            v = A @ v
-        bound *= c
-
+        e1 = np.eye(1, n)
+        row = row_powers(e1, sys.A, H + 1)[H, 0]  # e_1' A^H
+        V = row_powers(e1, sys.A.T, t - H + 1)[:, 0]  # rows (A^k e_1)', k = 0 .. t-H
+        bound = float(row @ row) * (V.T @ V)
         cov = drc_state_covariance(sys, policy, t + 1)
     if not (np.all(np.isfinite(bound)) and np.all(np.isfinite(cov))):
         raise NonFinite(f"witness covariance or bound overflowed by t={t}", step=t)

@@ -62,7 +62,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .cost import cost_of_drc, cost_of_gain, simulate
 from .drc import DRCPolicy, assemble, order_gaps, solve_drc
-from .exceptions import DimensionMismatch, DrclqrError, ParseError, Unstable
+from .exceptions import DimensionMismatch, DrclqrError, InvalidHorizon, ParseError, Unstable
 from .lyapunov import gramian
 from .model import LQRSystem, joint_certificate, spectral_radius, validate_system
 from .prestabilize import recover_gain, transform
@@ -250,7 +250,7 @@ def run_sweep(sys_: LQRSystem, H_max: int) -> SweepResult:
     wall time.
     """
     if H_max < 1:
-        raise ValueError(f"H_max must be >= 1, got {H_max}")
+        raise InvalidHorizon(f"H_max must be >= 1, got {H_max}")
     if (sr := spectral_radius(sys_.A)) >= 1.0:
         raise Unstable(f"A has spectral radius {sr:.6g} >= 1; a pre-stabilizing K0 is required")
 

@@ -7,8 +7,8 @@ Three routes to the infinite-horizon average cost
 under x_{t+1} = A x_t + B u_t + w_t with w_t ~ N(0, I):
 
 * :func:`cost_of_gain`: steady-state covariance route for u = Kx.
-* :func:`cost_of_drc`: the exact trace identity
-  trace(G + 2 L'J + L'ML) for an H-order disturbance-response policy.
+* :func:`cost_of_drc`: the trace identity trace(G + 2 L'J + L'ML) for an
+  H-order disturbance-response policy, exact in exact arithmetic.
 * :func:`simulate`: a seeded Monte-Carlo rollout for either controller type.
 
 :func:`drc_state_covariance` is the exact second moment of the state under a
@@ -109,10 +109,15 @@ def cost_of_gain(sys: LQRSystem, K) -> CostReport:
 def cost_of_drc(sys: LQRSystem, G, policy: DRCPolicy) -> CostReport:
     """Average cost of an H-order DRC via trace(G + 2 L'J + L'ML).
 
-    Assembles (M, J) at the policy's own order and evaluates the exact
-    quadratic cost identity.  G is the Gramian of (A, Q), which exists only
-    for a stable A (:func:`drclqr.lyapunov.gramian` refuses any other), so
-    A's stability is a precondition of G and is not checked again here.
+    Assembles (M, J) at the policy's own order and evaluates the quadratic
+    cost identity, which is exact in exact arithmetic.  In floating point
+    the sum cancels against tr G, so its absolute error scales with tr G:
+    on n_x 40 plants with rho(A) = 1 - 1e-6 and tr G = 1e9 it is 4e-5 to
+    3e-4 at H = 30, on one of them more than the order-30 cost gap itself.
+    :func:`drclqr.drc.order_gaps` gives that gap without the cancellation.
+    G is the Gramian of (A, Q), which exists only for a stable A
+    (:func:`drclqr.lyapunov.gramian` refuses any other), so A's stability
+    is a precondition of G and is not checked again here.
     """
     mats = assemble(sys, G, policy.H)
     L = policy.stacked()

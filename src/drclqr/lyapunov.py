@@ -47,8 +47,6 @@ def spectral_radius(M) -> float:
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"spectral radius needs a square matrix, got {M.shape}")
-    if M.size == 1:
-        return abs(float(M[0, 0]))
     return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 

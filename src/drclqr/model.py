@@ -46,8 +46,8 @@ closes at the same m).  The certificate records which route was taken in
 Two helpers serve the other modules and stay out of ``__all__``:
 :func:`row_powers`, the one running product behind the package's stacks of
 powers (the scan's batches, the DRC blocks and rows, the closed-loop powers
-of :func:`drclqr.drc.order_gaps`), and :func:`cholesky`, the one refusal of a
-matrix that must be positive definite.
+of :func:`drclqr.drc.order_gaps`, the rows of the instability witness), and
+:func:`cholesky`, the one refusal of a matrix that must be positive definite.
 """
 
 from __future__ import annotations
@@ -95,8 +95,6 @@ CERTIFICATE_METHODS = ("scan", "lyapunov")
 def spectral_norm(M) -> float:
     """Spectral (operator-2) norm, the norm used throughout the package."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.size == 0:
-        return 0.0
     return float(np.linalg.norm(M, 2))
 
 
@@ -109,8 +107,8 @@ def row_powers(R: np.ndarray, A: np.ndarray, H: int) -> np.ndarray:
     squaring) takes fewer calls but multiplies the round-off by the transient
     growth of a non-normal A at every level: on Jordan blocks at H = 300 it
     lost two to three digits that this running product keeps.  The DRC
-    blocks, the defect's rows, the closed-loop powers of every order and the
-    certificate's scan all come from here.
+    blocks, the defect's rows, the closed-loop powers of every order, the
+    instability witness's rows and the certificate's scan all come from here.
     """
     out = np.empty((H,) + R.shape)
     out[0] = R
@@ -120,13 +118,14 @@ def row_powers(R: np.ndarray, A: np.ndarray, H: int) -> np.ndarray:
 
 
 def cholesky(M: np.ndarray, what: str) -> np.ndarray:
-    """Lower Cholesky factor L of the symmetric part of M, so that (M + M')/2 = LL'.
+    """Lower Cholesky factor L of a symmetric M, so that M = LL'.
 
-    A factorization failure raises :class:`NotPositiveDefinite` naming
+    M must be symmetric: only its lower triangle is read, and every caller
+    hands over a matrix made exactly symmetric where it was built.  A
+    factorization failure raises :class:`NotPositiveDefinite` naming
     ``what``, with a lambda_min estimate; there is no least-squares fallback,
     by design.
     """
-    M = (M + M.T) / 2.0
     try:
         return np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
@@ -141,8 +140,8 @@ def _symmetrize(name: str, X: np.ndarray) -> np.ndarray:
     factorizations later on, hence the forced symmetrization; gross asymmetry
     means the caller handed us the wrong matrix, hence the error.
     """
-    defect = np.max(np.abs(X - X.T)) if X.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(X))) if X.size else 0.0)
+    defect = np.max(np.abs(X - X.T))
+    scale = max(1.0, float(np.max(np.abs(X))))
     if defect > SYMMETRY_RTOL * scale:
         raise AsymmetricMatrix(
             f"{name} must be symmetric: max asymmetry {defect:.3e} exceeds "
@@ -155,6 +154,8 @@ def _as_matrix(name: str, X, rows: int | None = None, cols: int | None = None) -
     A = np.atleast_2d(np.asarray(X, dtype=float))
     if A.ndim != 2:
         raise DimensionMismatch(f"{name} must be a matrix, got ndim={A.ndim}")
+    if A.size == 0:
+        raise DimensionMismatch(f"{name} has no entries, got shape {A.shape}")
     if rows is not None and A.shape[0] != rows:
         raise DimensionMismatch(f"{name} has {A.shape[0]} rows, expected {rows}")
     if cols is not None and A.shape[1] != cols:
@@ -168,8 +169,10 @@ class LQRSystem:
 
     Q and R are symmetrized on ingestion (after an asymmetry check at
     1e-10 relative); arrays are copied and frozen so instances are immutable
-    and safe to share.  Construction checks shapes only; positive definiteness
-    of the joint weight block is the job of :func:`validate_system`.
+    and safe to share.  Construction checks shapes only, and refuses a matrix
+    with no entries (n_x = 0 or n_u = 0) with :class:`DimensionMismatch`;
+    positive definiteness of the joint weight block is the job of
+    :func:`validate_system`.
     """
 
     A: np.ndarray

@@ -29,6 +29,7 @@ from drclqr import (
     NonFinite,
     Unstable,
     spectral_radius,
+    witness_plant,
 )
 from drclqr.cost import OVERFLOW_LIMIT, disturbance
 
@@ -157,6 +158,22 @@ def impulse_covariance(sys_, policy, t: int) -> np.ndarray:
             C = C + np.linalg.matrix_power(A, k - j) @ B @ policy.blocks[j - 1]
         cov += C @ C.T
     return cov
+
+
+def witness_bound(n: int, H: int, t: int) -> np.ndarray:
+    """The instability witness's lower bound from its definition.
+
+    c sum_{k=0}^{t-H} A^k e_1 e_1' (A^k)' with c = ||e_1' A^H||^2 on the
+    witness plant, every power formed afresh by ``matrix_power``, where the
+    package takes both from running products of one row.
+    """
+    A = witness_plant(n).A
+    row = np.linalg.matrix_power(A, H)[0]
+    total = np.zeros((n, n))
+    for k in range(t - H + 1):
+        column = np.linalg.matrix_power(A, k)[:, 0]
+        total += np.outer(column, column)
+    return float(row @ row) * total
 
 
 def kron_dsylvester(A, B, C):

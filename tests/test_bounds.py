@@ -3,7 +3,7 @@ import pytest
 from numpy.random import default_rng
 
 import drclqr as d
-from oracles import random_system
+from oracles import random_system, witness_bound
 
 
 def unit_inputs(tau=1.0, rho=np.log(2.0), **overrides):
@@ -154,6 +154,20 @@ class TestInstabilityWitness:
         policy = d.DRCPolicy(blocks=(np.zeros((1, 1)),))
         bound, _, _ = d.instability_witness(1, 1, policy, 1)
         assert np.array_equal(bound, np.array([[4.0]]))
+
+    def test_bound_matches_fresh_matrix_powers(self):
+        # for t <= 3n <= 18 every entry is an integer float64 holds exactly;
+        # at t = 60 and 300 the two routes may round in a different order
+        for n in range(1, 7):
+            for H in range(1, n + 1):
+                policy = d.DRCPolicy(blocks=np.zeros((H, 1, n)))
+                for t in sorted({H, H + 1, 3 * n, 60, 300}):
+                    bound, _, _ = d.instability_witness(n, H, policy, t)
+                    expected = witness_bound(n, H, t)
+                    if t <= 30:
+                        assert np.array_equal(bound, expected), (n, H, t)
+                    else:
+                        np.testing.assert_allclose(bound, expected, rtol=1e-14, err_msg=f"{(n, H, t)}")
 
     def test_validation(self):
         policy = d.DRCPolicy(blocks=(np.zeros((1, 3)),) * 2)

@@ -192,7 +192,7 @@ class TestRunSweep:
             )
 
     def test_degenerate_h_max(self, demo_system):
-        with pytest.raises(ValueError):
+        with pytest.raises(d.InvalidHorizon):
             run_sweep(demo_system, 0)
 
     @pytest.mark.parametrize("plant", ["demo3x3", "random_stable", "random_unstable_with_k0"])

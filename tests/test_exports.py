@@ -4,9 +4,14 @@ import inspect
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import drclqr as d
+from conftest import SYSTEMS_DIR
+from drclqr.cli import load_system_file, run_sweep
+from numpy.random import default_rng
+from oracles import scaled_orthogonal, system_with_dynamics
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(d.__path__) if m.name != "__main__")
 
@@ -82,25 +87,70 @@ def test_no_module_reaches_into_another_modules_private_names():
     assert uses == set()
 
 
-def _linalg_cholesky_uses(tree):
-    """Line numbers of every ``<x>.linalg.cholesky`` and ``from numpy.linalg import cholesky``."""
+def _linalg_uses(tree, func):
+    """Line numbers of every ``<x>.linalg.<func>`` and ``from numpy.linalg import <func>``."""
     lines = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr == "cholesky":
+        if isinstance(node, ast.Attribute) and node.attr == func:
             if isinstance(node.value, ast.Attribute) and node.value.attr == "linalg":
                 lines.append(node.lineno)
         elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
-            lines.extend(node.lineno for alias in node.names if alias.name == "cholesky")
+            lines.extend(node.lineno for alias in node.names if alias.name == func)
     return lines
+
+
+def _modules_using(func):
+    return {
+        path.stem
+        for path in Path(d.__file__).parent.glob("*.py")
+        if _linalg_uses(ast.parse(path.read_text()), func)
+    }
 
 
 def test_only_model_factors_by_cholesky():
     # model.cholesky is the one refusal of a matrix that is not positive
     # definite: every other module factors through it, so every refusal
     # raises NotPositiveDefinite with its lambda_min estimate
-    uses = {
-        path.stem: lines
-        for path in Path(d.__file__).parent.glob("*.py")
-        if (lines := _linalg_cholesky_uses(ast.parse(path.read_text())))
-    }
-    assert uses.keys() == {"model"}
+    assert _modules_using("cholesky") == {"model"}
+
+
+def test_only_lyapunov_takes_eigenvalues():
+    # lyapunov.spectral_radius is the one eigenvalue pass: every radius in
+    # the package is its single eigvals call
+    assert _modules_using("eigvals") == {"lyapunov"}
+
+
+@pytest.fixture
+def cholesky_inputs(monkeypatch):
+    """Every matrix handed to model.cholesky, by every module that imports it."""
+    real, seen = d.model.cholesky, []
+
+    def spy(M, what):
+        seen.append((what, np.array(M)))
+        return real(M, what)
+
+    for name in MODULES:
+        module = importlib.import_module(f"drclqr.{name}")
+        if getattr(module, "cholesky", None) is real:
+            monkeypatch.setattr(module, "cholesky", spy)
+    return seen
+
+
+def test_cholesky_receives_exactly_symmetric_matrices(cholesky_inputs):
+    # model.cholesky reads only the lower triangle, so each caller must make
+    # its matrix symmetric where it builds it; the system files have one
+    # input, so a three-input plant gives R and R + B'PB off-diagonal entries
+    rng = default_rng(24)
+    three_inputs = system_with_dynamics(rng, scaled_orthogonal(rng, 4, 0.9), 3)
+    for sys_ in (d.load_system(SYSTEMS_DIR / "demo3x3.json"), three_inputs):
+        sol = d.solve_dare(sys_)  # the README pipeline
+        G = d.gramian(sys_.A, sys_.Q)
+        policy = d.solve_drc(d.assemble(sys_, G, H=10))
+        d.BoundInputs.from_system(sys_, sol.K, d.joint_certificate(sys_.A, sys_.A + sys_.B @ sol.K))
+        d.cost_of_drc(sys_, G, policy)
+    for path in sorted(SYSTEMS_DIR.glob("*.json")):
+        d.solve_dare(d.load_system(path))
+    unstable, K0 = load_system_file(SYSTEMS_DIR / "scalar_unstable.json")
+    run_sweep(d.transform(unstable, K0).transformed, 10)
+    assert {what for what, _ in cholesky_inputs} == {"R", "R + B'PB", "assembled M", "joint weight block"}
+    assert not [what for what, M in cholesky_inputs if not np.array_equal(M, M.T)]

@@ -71,6 +71,16 @@ class TestLQRSystemIngestion:
         with pytest.raises(d.DimensionMismatch):
             d.LQRSystem(**base)
 
+    @pytest.mark.parametrize("n_x, n_u", [(2, 0), (0, 2)])
+    def test_empty_matrices_rejected(self, n_x, n_u):
+        # an empty B or A used to construct and then crash validate_system with an IndexError
+        with pytest.raises(d.DimensionMismatch, match="no entries"):
+            d.validate_system(
+                d.LQRSystem(
+                    A=np.zeros((n_x, n_x)), B=np.zeros((n_x, n_u)), Q=np.eye(n_x), R=np.eye(n_u), S=np.zeros((n_u, n_x))
+                )
+            )
+
     def test_non_finite_entries_rejected(self):
         with pytest.raises(d.DimensionMismatch):
             d.LQRSystem(A=[[np.nan]], B=[[1.0]], Q=[[1.0]], R=[[1.0]], S=[[0.0]])
