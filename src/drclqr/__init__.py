@@ -66,7 +66,7 @@ from .model import (
 )
 from .prestabilize import PrestabilizedSystem, default_prestabilizer, recover_gain, transform
 from .riccati import RiccatiSolution, dare_residual, solve_dare
-from .cli import SweepResult, SweepRow, load_system, run_sweep, save_system
+from .cli import SweepResult, load_system, run_sweep, save_system
 
 __version__ = "0.1.0"
 
@@ -90,7 +90,6 @@ __all__ = [
     "SingularPencil",
     "StabilityCertificate",
     "SweepResult",
-    "SweepRow",
     "Unstable",
     "ValidationReport",
     "assemble",

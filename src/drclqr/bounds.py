@@ -4,6 +4,8 @@ Every bound takes a :class:`BoundInputs` value object (certificate constants
 plus the handful of spectral norms the formulas use) rather than recomputing
 norms internally, so a sweep over H evaluates every bound with one consistent
 certificate: the constants in front of the exponential must not vary with H.
+The two gap bounds take an array of orders as well as one order, so a sweep
+evaluates each of them in one call.
 
 The bounds:
 
@@ -110,39 +112,42 @@ def schur_lambda_min(sys: LQRSystem) -> float:
     return float(np.linalg.eigvalsh(L22 @ L22.T)[0])
 
 
-def gain_gap_bound(inp: BoundInputs, H: int) -> float:
+def gain_gap_bound(inp: BoundInputs, H):
     """Certified bound on ||K - L_1^{(H)}||: C e^{-rho H} with explicit C.
 
         2 tau^3 (||B||^2 ||K|| ||Q|| + ||B|| ||K|| ||S||) e^{-rho H}
         -----------------------------------------------------------
                  lam (1 - e^{-2 rho})^{5/2}
 
-    Successive H multiply the bound by exactly e^{-rho}.
+    H is one order or an array of orders; an array gives the bound of each
+    order, bit for bit the value of the scalar call.  Successive H multiply
+    the bound by exactly e^{-rho}.
     """
-    if H < 1:
-        raise InvalidHorizon(f"H must be >= 1, got {H}")
+    if np.any(H < 1):
+        raise InvalidHorizon(f"H must be >= 1, got {np.min(H)}")
     tau, rho = inp.cert.tau, inp.cert.rho
-    decay2 = 1.0 - float(np.exp(-2.0 * rho))
+    decay2 = 1.0 - np.exp(-2.0 * rho)
     numer = 2.0 * tau**3 * (inp.normB**2 * inp.normK * inp.normQ + inp.normB * inp.normK * inp.normS)
-    return numer * float(np.exp(-rho * H)) / (inp.lam * decay2**2.5)
+    return numer * np.exp(-rho * H) / (inp.lam * decay2**2.5)
 
 
-def cost_gap_bound(inp: BoundInputs, H: int) -> float:
+def cost_gap_bound(inp: BoundInputs, H):
     """Bound on the cost excess of the order-H truncation of a gain's policy.
 
         n_x^2 e^{-2 rho H} ( ||R|| + 4 tau^4 (||B|| ||K||^2 + ||K||)
                                      (||B|| ||Q|| + ||S||) / (1 - e^{-2 rho})^3 )
 
+    H is one order or an array of orders, as for :func:`gain_gap_bound`.
     Successive H multiply the bound by exactly e^{-2 rho}.
     """
-    if H < 1:
-        raise InvalidHorizon(f"H must be >= 1, got {H}")
+    if np.any(H < 1):
+        raise InvalidHorizon(f"H must be >= 1, got {np.min(H)}")
     tau, rho = inp.cert.tau, inp.cert.rho
-    decay2 = 1.0 - float(np.exp(-2.0 * rho))
+    decay2 = 1.0 - np.exp(-2.0 * rho)
     inner = inp.normR + 4.0 * tau**4 * (inp.normB * inp.normK**2 + inp.normK) * (
         inp.normB * inp.normQ + inp.normS
     ) / decay2**3
-    return inp.n_x**2 * float(np.exp(-2.0 * rho * H)) * inner
+    return inp.n_x**2 * np.exp(-2.0 * rho * H) * inner
 
 
 # With ``inp`` built from the optimal gain (see the module docstring).

@@ -13,8 +13,10 @@ system transform(sys, K0).transformed, whose optimal gain is K - K0, so an
 unstable plant with a stabilizing K0 is a valid input to each.  On such a
 file drc prints L1= as recover_gain(K0, L1), which approximates the plant's
 optimal gain K; its solve_residual and cost are the transformed system's,
-whose cost is the plant's under u = K0 x + v.  validate, dare, and cost and
-simulate without --h solve the plant as loaded.
+whose cost is the plant's under u = K0 x + v.  On a file without a K0 the
+four commands refuse an unstable A with :class:`Unstable`, before they
+solve anything.  validate, dare, and cost and simulate without --h solve
+the plant as loaded.
 
 The sweep (one row per order H) is the package's headline experiment: it
 measures how fast the first DRC block converges to the optimal gain and
@@ -26,11 +28,12 @@ fixed header
 followed by a trailer line `# slope=... rho=... tau=...` carrying the fitted
 log-linear decay rate and the certificate constants.  All numeric output uses
 12 significant digits; timing lives only in the wall_ms column.  The sweep
-reads every order's gaps off one closed form of the finite-horizon Riccati
-recursion (see :func:`drclqr.drc.order_gaps`) and then evaluates every
-order's gain error in one batched spectral-norm call; wall_ms is each row's
-1/H_max share of that one timed evaluation, so every row carries the same
-value and the shared closed form is in no row.
+is a table of columns, one (H_max,) array per CSV column: it reads every
+order's gaps off one closed form of the finite-horizon Riccati recursion
+(see :func:`drclqr.drc.order_gaps`), evaluates every order's gain error in
+one batched spectral-norm call and every order's bounds in one call per
+bound.  wall_ms is one value per sweep, the 1/H_max share of that one timed
+norm call, printed on every row; the shared closed form is in no row.
 
 Exit codes: 0 success, 1 domain error (bad math, bad file, an --out path that
 cannot be written), 2 usage error.  Out-of-range numbers (--h or --h-max below
@@ -69,7 +72,6 @@ from .prestabilize import recover_gain, transform
 from .riccati import solve_dare
 
 __all__ = [
-    "SweepRow",
     "SweepResult",
     "load_system",
     "load_system_file",
@@ -200,59 +202,55 @@ def save_system(sys_: LQRSystem, path, K0=None):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SweepRow:
-    """One order's worth of sweep output; fields match the CSV columns."""
-
-    H: int
-    err_L1_K: float
-    bound_thm1: float
-    cost_gap: float
-    bound_perf: float
-    wall_ms: float
-
-
-@dataclass(frozen=True)
 class SweepResult:
-    rows: tuple
+    """The sweep as a table of columns: entry H - 1 of each array is order H.
+
+    ``err_L1_K``, ``bound_thm1``, ``cost_gap`` and ``bound_perf`` are the
+    CSV's per-order columns as (H_max,) float arrays; ``wall_ms`` is one
+    value for the whole sweep, printed on every row.
+    """
+
+    err_L1_K: np.ndarray
+    bound_thm1: np.ndarray
+    cost_gap: np.ndarray
+    bound_perf: np.ndarray
+    wall_ms: float
     slope: float
     tau: float
     rho: float
 
 
-def _fit_slope(rows) -> float:
-    """Least-squares slope of ln(err) vs H, preferring the settled tail H >= 5."""
-    pts = [(r.H, r.err_L1_K) for r in rows if r.err_L1_K > 0.0]
-    tail = [(h, e) for h, e in pts if h >= 5]
-    if len(tail) >= 2:
-        pts = tail
-    if len(pts) < 2:
+def _fit_slope(errs: np.ndarray) -> float:
+    """Least-squares slope of ln(err) vs H over the positive errors, preferring the settled tail H >= 5."""
+    H = np.arange(1, len(errs) + 1)
+    pts = errs > 0.0
+    if np.count_nonzero(pts & (H >= 5)) >= 2:
+        pts &= H >= 5
+    if np.count_nonzero(pts) < 2:
         return float("nan")
-    hs = np.array([h for h, _ in pts], dtype=float)
-    es = np.log(np.array([e for _, e in pts]))
-    return float(np.polyfit(hs, es, 1)[0])
+    return float(np.polyfit(H[pts], np.log(errs[pts]), 1)[0])
 
 
 def run_sweep(sys_: LQRSystem, H_max: int) -> SweepResult:
     """Measure gain-gap and cost-gap decay for H = 1..H_max against the bounds.
 
-    The plant must be stable; an unstable one is first pre-stabilized with
-    :func:`drclqr.prestabilize.transform`, whose transformed system is swept
-    (the CLI does this for a file with a K0).  One joint certificate for
-    (A, A+BK) is computed up front and reused for every H, so every bound
-    shares the same constants.
+    The plant must be stable (the certificate raises :class:`Unstable` on an
+    unstable A); an unstable plant is swept through the transformed system
+    of :func:`drclqr.prestabilize.transform`, as the CLI does for a file
+    with a K0.  One joint certificate for
+    (A, A+BK) is computed up front and every order's bounds come from it in
+    one call per bound, so every bound shares the same constants.
 
     The optimal order-H DRC is the finite-horizon Riccati recursion from
     P_0 = G, so every order's gain gap L_1^{(H)} - K and cost gap
     trace(P_H - P) come from one closed form of that recursion
     (:func:`drclqr.drc.order_gaps`), with no system assembled or factored.
     The gain errors ||L_1^{(H)} - K||_2 of all orders come from one stacked
-    norm call, and each row's wall_ms is the 1/H_max share of that call's
-    wall time.
+    norm call; wall_ms is the 1/H_max share of that call's wall time, one
+    value for the whole sweep.
     """
     if H_max < 1:
         raise InvalidHorizon(f"H_max must be >= 1, got {H_max}")
-    if (sr := spectral_radius(sys_.A)) >= 1.0:
-        raise Unstable(f"A has spectral radius {sr:.6g} >= 1; a pre-stabilizing K0 is required")
 
     sol = solve_dare(sys_)
     log.info("DARE solved: %d doubling steps, residual %.3e", sol.iterations, sol.residual_norm)
@@ -268,28 +266,26 @@ def run_sweep(sys_: LQRSystem, H_max: int) -> SweepResult:
     errs = np.linalg.norm(gain_gaps, 2, axis=(1, 2))
     wall_ms = (time.perf_counter() - t0) * 1e3 / H_max
 
-    rows = [
-        SweepRow(
-            H=H,
-            err_L1_K=float(errs[H - 1]),
-            bound_thm1=bounds_mod.gain_gap_bound(inp, H),
-            cost_gap=float(cost_gaps[H - 1]),
-            bound_perf=bounds_mod.cost_gap_bound(inp, H),
-            wall_ms=wall_ms,
-        )
-        for H in range(1, H_max + 1)
-    ]
-    return SweepResult(rows=tuple(rows), slope=_fit_slope(rows), tau=cert.tau, rho=cert.rho)
+    orders = np.arange(1, H_max + 1)
+    return SweepResult(
+        err_L1_K=errs,
+        bound_thm1=bounds_mod.gain_gap_bound(inp, orders),
+        cost_gap=cost_gaps,
+        bound_perf=bounds_mod.cost_gap_bound(inp, orders),
+        wall_ms=wall_ms,
+        slope=_fit_slope(errs),
+        tau=cert.tau,
+        rho=cert.rho,
+    )
 
 
 def write_csv(result: SweepResult, stream):
-    """Emit sweep rows as CSV (LF endings) plus the slope/certificate trailer."""
+    """Emit the sweep as CSV (LF endings), one row per order, plus the slope/certificate trailer."""
     stream.write(CSV_HEADER + "\n")
-    for r in result.rows:
-        stream.write(
-            f"{r.H},{_fmt(r.err_L1_K)},{_fmt(r.bound_thm1)},{_fmt(r.cost_gap)},"
-            f"{_fmt(r.bound_perf)},{_fmt(r.wall_ms)}\n"
-        )
+    wall = _fmt(result.wall_ms)
+    columns = (result.err_L1_K, result.bound_thm1, result.cost_gap, result.bound_perf)
+    for H, (err, bound_thm1, gap, bound_perf) in enumerate(zip(*columns), start=1):
+        stream.write(f"{H},{_fmt(err)},{_fmt(bound_thm1)},{_fmt(gap)},{_fmt(bound_perf)},{wall}\n")
     stream.write(f"# slope={_fmt(result.slope)} rho={_fmt(result.rho)} tau={_fmt(result.tau)}\n")
 
 
@@ -386,10 +382,15 @@ def _stable_problem(args):
     """The stable problem a DRC command solves, and the file's K0 (or None).
 
     A file with a K0 poses its pre-stabilized system, whose optimal gain is
-    K - K0; a file without one poses its plant as loaded.
+    K - K0; a file without one poses its plant as loaded, which must then be
+    stable, or the command raises :class:`Unstable` naming the missing K0.
     """
     sys_, K0 = load_system_file(args.system, lax=args.lax)
-    return (sys_, K0) if K0 is None else (transform(sys_, K0).transformed, K0)
+    if K0 is not None:
+        return transform(sys_, K0).transformed, K0
+    if (sr := spectral_radius(sys_.A)) >= 1.0:
+        raise Unstable(f"A has spectral radius {sr:.6g} >= 1; a pre-stabilizing K0 is required")
+    return sys_, None
 
 
 def _solved_policy(sys_: LQRSystem, H: int):

@@ -23,9 +23,10 @@ measured from the DARE's P, and factors no M.
 
 The module also constructs the policy induced by a state-feedback gain K,
 whose blocks are K(A+BK)^{k-1}, and evaluates the defect that truncating
-that infinite policy at order H leaves in the first H block rows of the
-stationarity condition.  That defect decays exponentially in H, which is
-what makes low-order DRCs good approximations of state feedback.
+the induced policy of the DARE's gain at order H leaves in the first H
+block rows of the stationarity condition.  That defect decays
+exponentially in H, which is what makes low-order DRCs good
+approximations of state feedback.
 
 Every block of J, of that defect and of an induced policy is a thin
 n_u x n_x row times a power of A, A' or A+BK: J_d = J_1 A^{d-1}.  Each stack
@@ -271,7 +272,15 @@ def truncation_residual(sys: LQRSystem, G, K, H: int) -> np.ndarray:
 
         W = -(A'GB + S') K,     Y = A'Y(A+BK) + W   (solved for Y),
 
-    block k equals  B' (A')^{H-k} Y (A+BK)^H.  Y comes from the lyapunov
+    block k equals  B' (A')^{H-k} Y (A+BK)^H.  For the DARE's gain Y is
+    G - P, the Delta_0 of :func:`order_gaps`.
+
+    The identity needs the DARE's gain: the tail collapses through the
+    optimality of K, so for any other K the two sides differ, and what this
+    returns is the Sylvester tail series above, not the defect of that K's
+    truncated policy.
+
+    Y comes from the lyapunov
     module's public solve_dsylvester, which sums it to working precision,
     so this is the reference path; a brute-force tail summation is kept in
     the test suite as the independent oracle.  The thin rows B'(A')^j, j < H,

@@ -92,6 +92,39 @@ class TestGainGapBound:
             assert gap <= d.gain_gap_bound(inp, H)
 
 
+class TestArrayOfOrders:
+    # the sweep evaluates each bound once, on every order at once
+    @pytest.mark.parametrize(
+        "inp",
+        [
+            unit_inputs(),
+            unit_inputs(tau=3.0, rho=0.21, normS=0.4, lam=0.7),
+            unit_inputs(tau=2.0, rho=0.15, normS=0.3, n_x=4),
+            unit_inputs(tau=14.31, rho=1e-3, normK=7.5, normB=0.2, n_x=40),
+            unit_inputs(tau=1.0, rho=10.0, normR=3.0),
+        ],
+        ids=["unit", "slow", "n4", "near-marginal", "nilpotent"],
+    )
+    @pytest.mark.parametrize("bound", [d.gain_gap_bound, d.cost_gap_bound], ids=["gain", "cost"])
+    def test_array_equals_scalar_calls_bit_for_bit(self, bound, inp):
+        column = bound(inp, np.arange(1, 301))
+        assert column.shape == (300,)
+        assert [float(v) for v in column] == [float(bound(inp, H)) for H in range(1, 301)]
+
+    def test_demo_certificate(self, demo_system, demo_solution, demo_cert):
+        inp = d.BoundInputs.from_system(demo_system, demo_solution.K, demo_cert)
+        for bound in (d.gain_gap_bound, d.cost_gap_bound):
+            column = bound(inp, np.arange(1, 301))
+            assert [float(v) for v in column] == [float(bound(inp, H)) for H in range(1, 301)]
+
+    @pytest.mark.parametrize("bound", [d.gain_gap_bound, d.cost_gap_bound], ids=["gain", "cost"])
+    def test_an_order_below_one_is_refused(self, bound):
+        with pytest.raises(d.InvalidHorizon, match="got 0"):
+            bound(unit_inputs(), np.arange(0, 5))
+        with pytest.raises(d.InvalidHorizon, match="got -3"):
+            bound(unit_inputs(), np.array([4, -3, 2]))
+
+
 class TestCostGapBound:
     def test_zero_gain_leaves_only_r(self):
         inp = unit_inputs(normK=0.0)

@@ -287,6 +287,25 @@ class TestTruncationResidual:
             err = np.linalg.norm(block - ref, 2)
             assert err <= 1e-8 * (1 + np.linalg.norm(ref, 2))
 
+    @pytest.mark.parametrize("H", [1, 5, 30])
+    def test_sylvester_solution_is_g_minus_p(self, H):
+        # for the DARE's gain, Y = A'Y(A+BK) - (A'GB + S')K is solved by
+        # G - P, the Delta_0 of order_gaps: block k is B'(A')^{H-k}(G - P)(A+BK)^H
+        rng = default_rng([63, H])
+        plants = [random_system(rng) for _ in range(6)]
+        plants.append(system_with_dynamics(rng, scaled_orthogonal(rng, 40, 0.999), 2))
+        for sys_ in plants:
+            sol = d.solve_dare(sys_)
+            G = d.gramian(sys_.A, sys_.Q)
+            FH = np.linalg.matrix_power(sys_.A + sys_.B @ sol.K, H)
+            expected = [
+                sys_.B.T @ np.linalg.matrix_power(sys_.A.T, H - k) @ (G - sol.P) @ FH for k in range(1, H + 1)
+            ]
+            blocks = d.truncation_residual(sys_, G, sol.K, H)
+            scale = np.linalg.norm(G, 2) * np.linalg.norm(sys_.B, 2) * np.linalg.norm(FH, 2)
+            for block, ref in zip(blocks, expected, strict=True):
+                assert np.linalg.norm(block - ref, 2) <= 1e-12 * scale
+
     def test_random_systems_match_series_oracle(self):
         rng = default_rng(21)
         for _ in range(8):

@@ -87,6 +87,32 @@ def test_no_module_reaches_into_another_modules_private_names():
     assert uses == set()
 
 
+def _k0_raises(path):
+    """(module, function, whether K0 is a name there) for every raise whose message names K0."""
+    found = []
+    for func in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        names = {a.arg for a in func.args.args + func.args.kwonlyargs} | {
+            n.id for n in ast.walk(func) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+        }
+        for node in ast.walk(func):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                text = [c.value for c in ast.walk(node.exc) if isinstance(c, ast.Constant) and isinstance(c.value, str)]
+                if any("K0" in t for t in text):
+                    found.append((path.stem, func.name, "K0" in names))
+    return found
+
+
+def test_only_code_that_holds_a_k0_names_it_in_an_error():
+    # an error that asks for a K0 is raised where a K0 is known: the system
+    # file's reader and the pre-stabilizer, never a routine that takes none
+    raises = [r for path in Path(d.__file__).parent.glob("*.py") for r in _k0_raises(path)]
+    assert raises
+    assert {module for module, _, _ in raises} <= {"cli", "prestabilize"}
+    assert [(module, func) for module, func, knows_k0 in raises if not knows_k0] == []
+
+
 def _linalg_uses(tree, func):
     """Line numbers of every ``<x>.linalg.<func>`` and ``from numpy.linalg import <func>``."""
     lines = []

@@ -87,7 +87,7 @@ class TestRefusalsWithinTheAssumptions:
             A=[[0.9, 0.2], [0.0, 0.5]], B=[[0.0], [1.0]], Q=np.diag([1e-15, 1.0]), R=[[1.0]], S=S
         )
         assert d.schur_lambda_min(sys_) == pytest.approx(lam, rel=1e-12)
-        assert len(d.run_sweep(sys_, 10).rows) == 10
+        assert len(d.run_sweep(sys_, 10).err_L1_K) == 10
 
 
 # delta = 1 - r, log-uniform in [1e-12, 1e-2]
