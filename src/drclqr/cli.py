@@ -31,9 +31,10 @@ log-linear decay rate and the certificate constants.  All numeric output uses
 is a table of columns, one (H_max,) array per CSV column: it reads every
 order's gaps off one closed form of the finite-horizon Riccati recursion
 (see :func:`drclqr.drc.order_gaps`), evaluates every order's gain error in
-one batched spectral-norm call and every order's bounds in one call per
-bound.  wall_ms is one value per sweep, the 1/H_max share of that one timed
-norm call, printed on every row; the shared closed form is in no row.
+one :func:`drclqr.model.spectral_norm` call and every order's bounds in one
+call per bound.  wall_ms is one value per sweep, the 1/H_max share of that
+one timed ``spectral_norm`` call, printed on every row; the shared closed
+form is in no row.
 
 Exit codes: 0 success, 1 domain error (bad math, bad file, an --out path that
 cannot be written), 2 usage error.  Out-of-range numbers (--h or --h-max below
@@ -67,7 +68,7 @@ from .cost import cost_of_drc, cost_of_gain, simulate
 from .drc import DRCPolicy, assemble, order_gaps, solve_drc
 from .exceptions import DimensionMismatch, DrclqrError, InvalidHorizon, ParseError, Unstable
 from .lyapunov import gramian
-from .model import LQRSystem, joint_certificate, spectral_radius, validate_system
+from .model import LQRSystem, joint_certificate, spectral_norm, spectral_radius, validate_system
 from .prestabilize import recover_gain, transform
 from .riccati import solve_dare
 
@@ -245,9 +246,9 @@ def run_sweep(sys_: LQRSystem, H_max: int) -> SweepResult:
     P_0 = G, so every order's gain gap L_1^{(H)} - K and cost gap
     trace(P_H - P) come from one closed form of that recursion
     (:func:`drclqr.drc.order_gaps`), with no system assembled or factored.
-    The gain errors ||L_1^{(H)} - K||_2 of all orders come from one stacked
-    norm call; wall_ms is the 1/H_max share of that call's wall time, one
-    value for the whole sweep.
+    The gain errors ||L_1^{(H)} - K||_2 of all orders come from one
+    ``spectral_norm`` call on their stack; wall_ms is the 1/H_max share of
+    that call's wall time, one value for the whole sweep.
     """
     if H_max < 1:
         raise InvalidHorizon(f"H_max must be >= 1, got {H_max}")
@@ -263,7 +264,7 @@ def run_sweep(sys_: LQRSystem, H_max: int) -> SweepResult:
     gain_gaps, cost_gaps = order_gaps(sys_, sol.P, sol.K, H_max)
 
     t0 = time.perf_counter()
-    errs = np.linalg.norm(gain_gaps, 2, axis=(1, 2))
+    errs = spectral_norm(gain_gaps)
     wall_ms = (time.perf_counter() - t0) * 1e3 / H_max
 
     orders = np.arange(1, H_max + 1)
@@ -403,7 +404,7 @@ def _solved_policy(sys_: LQRSystem, H: int):
 def _cmd_drc(args) -> int:
     sys_, K0 = _stable_problem(args)
     G, mats, policy = _solved_policy(sys_, args.h)
-    residual = float(np.linalg.norm(mats.M @ policy.stacked() + mats.J, 2))
+    residual = spectral_norm(mats.M @ policy.stacked() + mats.J)
     print(f"H= {policy.H}")
     print(f"L1= {_fmt_matrix(policy.first if K0 is None else recover_gain(K0, policy.first))}")
     print(f"solve_residual= {_fmt(residual)}")

@@ -207,8 +207,8 @@ def simulate(sys: LQRSystem, controller, steps: int, burn_in: int = 1000, seed: 
     Rolls x_{t+1} = A x_t + B u_t + w_t from x_0 = 0 with the counter-based
     noise of :func:`disturbance`; the reported value is the mean stage cost
     over t in [burn_in, steps) and std_error its batch-means standard error
-    (floor(sqrt(n)) batches over the n costs of that window, summed block by
-    block, so memory does not grow with ``steps``).  Gain
+    (floor(sqrt(n)) batches over the n costs of that window, summed by one
+    ``bincount`` per block, so memory does not grow with ``steps``).  Gain
     controllers must be stabilizing (the estimate is meaningless otherwise);
     a DRC on an unstable plant is allowed to run and diverge, surfacing as
     :class:`NonFinite` with the step whose update produced the first state
@@ -273,12 +273,8 @@ def simulate(sys: LQRSystem, controller, steps: int, burn_in: int = 1000, seed: 
                 z = xs[lo:m] if gain is not None else np.hstack((xs[lo:m], u[lo:m]))
                 costs = np.einsum("ij,ij->i", z @ weight, z)
                 total += float(np.sum(costs))
-                g0 = t0 + lo - burn_in  # index of costs[0] among all n costs
-                first, stop = g0 // length, min(-(-(g0 + costs.size) // length), batches)
-                if first < stop:  # batches [first, stop) meet this block
-                    starts = np.maximum(np.arange(first, stop) * length - g0, 0)
-                    end = min(stop * length - g0, costs.size)
-                    batch_sums[first:stop] += np.add.reduceat(costs[:end], starts)
+                g0 = t0 + lo - burn_in  # index of costs[0] among all n costs; bin `batches` is the tail
+                batch_sums += np.bincount(np.arange(g0, g0 + costs.size) // length, costs, batches + 1)[:batches]
     std_error = 0.0
     if n > 1:
         std_error = float(np.std(batch_sums / length, ddof=1) / np.sqrt(batches))

@@ -43,11 +43,14 @@ closes at the same m).  The certificate records which route was taken in
 ``method``.  All norms here and elsewhere in the package are spectral
 (operator-2) norms.
 
-Two helpers serve the other modules and stay out of ``__all__``:
-:func:`row_powers`, the one running product behind the package's stacks of
-powers (the scan's batches, the DRC blocks and rows, the closed-loop powers
-of :func:`drclqr.drc.order_gaps`, the rows of the instability witness), and
-:func:`cholesky`, the one refusal of a matrix that must be positive definite.
+:func:`spectral_norm` is the package's one singular-value kernel: every
+spectral norm, of one matrix or of a stack (the scan's batches, the sweep's
+gain errors), is one call to it.  Two helpers serve the other modules and
+stay out of ``__all__``: :func:`row_powers`, the one running product behind
+the package's stacks of powers (the scan's batches, the DRC blocks and rows,
+the closed-loop powers of :func:`drclqr.drc.order_gaps`, the rows of the
+instability witness), and :func:`cholesky`, the one refusal of a matrix that
+must be positive definite.
 """
 
 from __future__ import annotations
@@ -92,10 +95,15 @@ _LYAPUNOV_SLACK = 0.5
 CERTIFICATE_METHODS = ("scan", "lyapunov")
 
 
-def spectral_norm(M) -> float:
-    """Spectral (operator-2) norm, the norm used throughout the package."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    return float(np.linalg.norm(M, 2))
+def spectral_norm(M):
+    """Spectral (operator-2) norm, the norm used throughout the package.
+
+    The package's one singular-value kernel: a matrix gives one value, and a
+    stack of matrices (any leading axes) gives an array of their norms from
+    one batched call.  It is the largest singular value, bit for bit the
+    value of ``np.linalg.norm(M, 2)``.
+    """
+    return np.linalg.svd(np.atleast_2d(np.asarray(M, dtype=float)), compute_uv=False)[..., 0]
 
 
 def row_powers(R: np.ndarray, A: np.ndarray, H: int) -> np.ndarray:
@@ -306,7 +314,7 @@ def _scan_norms(M: np.ndarray, rho: float):
         sunk = (top > 0.0) & (top < _SCAN_UNDERFLOW)
         norms, closed = None, np.zeros(batch, dtype=bool)
         if np.any(top <= envelope):
-            norms = np.linalg.norm(block, 2, axis=(1, 2))
+            norms = spectral_norm(block)
             closed = norms <= envelope
         batches.append((power, batch, norms))
         if np.any(sunk | closed):
@@ -316,7 +324,7 @@ def _scan_norms(M: np.ndarray, rho: float):
             scanned = [np.ones(1)]
             for start, count, norms in batches:
                 if norms is None:
-                    norms = np.linalg.norm(row_powers(start @ M, M, count), 2, axis=(1, 2))
+                    norms = spectral_norm(row_powers(start @ M, M, count))
                 scanned.append(norms)
             return np.concatenate(scanned)[: k + i + 1]
         power = block[-1]

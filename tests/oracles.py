@@ -3,6 +3,8 @@
 Everything here deliberately takes a different computational route from the
 package: value iteration and scipy's QZ solver instead of the doubling DARE
 solver, Kronecker and plain series summation instead of Smith doubling,
+the exact long-run variance from two scipy Lyapunov solves instead of
+batch means,
 brute-force tail summation instead of the Sylvester closed form, power growth
 instead of eigenvalues, fresh matrix powers instead of a running product, the
 O(H^2)-block direct formulas instead of the block-Toeplitz assembly, the
@@ -475,3 +477,39 @@ def loop_simulate(sys: LQRSystem, controller, steps: int, burn_in: int = 1000, s
         means = costs[: b * (n // b)].reshape(b, -1).mean(axis=1)
         std_error = float(np.std(means, ddof=1) / np.sqrt(b))
     return CostReport(value=float(np.mean(costs)), method="monte_carlo", std_error=std_error)
+
+
+def long_run_variance(F, M, E) -> float:
+    """Long-run variance of the cost s_t' M s_t on the chain s_{t+1} = F s_t + E w_t.
+
+    w_t ~ N(0, I) and F is stable; the limit of n Var(mean of n stationary
+    costs).  With Sigma the stationary covariance, the lag-k covariance of
+    two costs is 2 tr(M Sigma F'^k M F^k Sigma), and summing it over every
+    lag with G = sum_k F'^k M F^k gives
+
+        sigma^2 = 4 tr(G Sigma M Sigma) - 2 tr(M Sigma M Sigma) .
+
+    Both Lyapunov solves are scipy's, not the package's Smith kernel.
+    """
+    sigma = scipy.linalg.solve_discrete_lyapunov(F, E @ E.T)
+    G = scipy.linalg.solve_discrete_lyapunov(F.T, M)
+    return float(4.0 * np.trace(G @ sigma @ M @ sigma) - 2.0 * np.trace(M @ sigma @ M @ sigma))
+
+
+def drc_chain(sys: LQRSystem, policy: DRCPolicy):
+    """(F, M, E) of an order-H DRC's chain s_t = (x_t, w_{t-1}, ..., w_{t-H}).
+
+    s_{t+1} = F s_t + E w_t with E = [I; I; 0; ...; 0], and the stage cost is
+    s_t' M s_t with M = C'WC: W is the joint weight and C s_t = [x_t; u_t],
+    u_t = sum_k L_k w_{t-k}.
+    """
+    n, H = sys.n_x, policy.H
+    L = np.hstack(policy.blocks)
+    F = np.zeros((n * (H + 1), n * (H + 1)))
+    F[:n, :n] = sys.A
+    F[:n, n:] = sys.B @ L
+    F[2 * n :, n:-n] = np.eye(n * (H - 1))  # w_{t-k} moves to slot k + 1
+    E = np.zeros((n * (H + 1), n))
+    E[:n] = E[n : 2 * n] = np.eye(n)
+    C = scipy.linalg.block_diag(np.eye(n), L)
+    return F, C.T @ sys.joint_weight() @ C, E

@@ -4,17 +4,20 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 
 import drclqr as d
-from drclqr.cost import _BLOCK, COST_METHODS, _noise, _states, disturbance
+from drclqr.cost import _BLOCK, COST_METHODS, _batch_layout, _noise, _states, disturbance
 from conftest import DEMO_PATH
 from oracles import (
     box_muller_noise,
+    drc_chain,
     impulse_covariance,
     kron_gramian,
+    long_run_variance,
     loop_simulate,
     random_system,
     scaled_orthogonal,
@@ -308,6 +311,48 @@ class TestSimulate:
     def test_window_validation(self, demo_system, demo_solution):
         with pytest.raises(ValueError):
             d.simulate(demo_system, demo_solution.K, steps=100, burn_in=100)
+
+
+@pytest.mark.parametrize("a", [0.5, 0.9, 0.99])
+def test_long_run_variance_matches_the_scalar_closed_form(a):
+    # x_{t+1} = a x_t + w_t with cost x^2: sigma^2 = 2 (1 + a^2) / (1 - a^2)^3
+    sigma2 = long_run_variance(np.array([[a]]), np.eye(1), np.eye(1))
+    assert sigma2 == pytest.approx(2.0 * (1.0 + a * a) / (1.0 - a * a) ** 3, rel=1e-12)
+
+
+@pytest.mark.parametrize("H", [None, 10], ids=["gain", "drc10"])
+@pytest.mark.parametrize("radius", [0.8, 0.97, 0.987])
+@pytest.mark.parametrize("n", [2, 10])
+def test_std_error_matches_the_long_run_variance(n, radius, H):
+    # A = radius x orthogonal and a weak input, so the optimal gain's loop
+    # keeps a radius near A's and the DRC's chain has A's exactly; the
+    # batch-means std_error of a 20 000-step rollout must be within 20% of
+    # the exact sigma / sqrt(n) in the median over 16 seeds
+    rng = default_rng(7)
+    base = system_with_dynamics(rng, scaled_orthogonal(rng, n, radius), 2 if n == 10 else 1)
+    sys_ = d.LQRSystem(A=base.A, B=0.01 * base.B, Q=base.Q, R=base.R, S=base.S)
+    if H is None:
+        controller = d.solve_dare(sys_).K
+        F, M, E = sys_.A + sys_.B @ controller, sys_.stage_weight(controller), np.eye(n)
+        exact = d.cost_of_gain(sys_, controller)
+    else:
+        G = d.gramian(sys_.A, sys_.Q)
+        controller = d.solve_drc(d.assemble(sys_, G, H))
+        F, M, E = drc_chain(sys_, controller)
+        exact = d.cost_of_drc(sys_, G, controller)
+    # the chain is the rollout's: its stationary mean is the analytic cost
+    cov = scipy.linalg.solve_discrete_lyapunov(F, E @ E.T)
+    assert np.trace(M @ cov) == pytest.approx(exact.value, rel=1e-9)
+    steps, burn_in = 20_000, 1000
+    exact_se = np.sqrt(long_run_variance(F, M, E) / (steps - burn_in))
+    ratio = np.median(
+        [d.simulate(sys_, controller, steps=steps, burn_in=burn_in, seed=seed).std_error for seed in range(16)]
+    ) / exact_se
+    rho = d.spectral_radius(F)
+    assert 0.8 <= ratio <= 1.2, (
+        f"median std_error / exact = {ratio:.3f}; correlation time 1/(1 - rho^2) = {1.0 / (1.0 - rho * rho):.1f}"
+        f" steps (rho = {rho:.4f}), batch length {_batch_layout(steps - burn_in)[1]}"
+    )
 
 
 @settings(max_examples=60, deadline=None)

@@ -146,6 +146,25 @@ def test_only_lyapunov_takes_eigenvalues():
     assert _modules_using("eigvals") == {"lyapunov"}
 
 
+def _two_norm_calls(tree):
+    """Line numbers of every ``<x>.linalg.norm`` call whose ord is 2, positional or keyword."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _linalg_uses(node.func, "norm"):
+            ords = node.args[1:2] + [k.value for k in node.keywords if k.arg == "ord"]
+            if any(isinstance(o, ast.Constant) and o.value == 2 for o in ords):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_model_takes_singular_values():
+    # model.spectral_norm is the one singular-value kernel: no other module
+    # calls svd, or norm with ord 2, which makes the same LAPACK call
+    trees = {path.stem: ast.parse(path.read_text()) for path in Path(d.__file__).parent.glob("*.py")}
+    assert {name for name, tree in trees.items() if _linalg_uses(tree, "svd") or _two_norm_calls(tree)} == {"model"}
+    assert not [name for name, tree in trees.items() if _two_norm_calls(tree)]
+
+
 @pytest.fixture
 def cholesky_inputs(monkeypatch):
     """Every matrix handed to model.cholesky, by every module that imports it."""

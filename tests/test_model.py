@@ -109,6 +109,21 @@ class TestSpectralRadius:
             assert d.spectral_radius(M.T) == pytest.approx(d.spectral_radius(M), rel=1e-10, abs=1e-12)
 
 
+class TestSpectralNorm:
+    @pytest.mark.parametrize("shape", [(1, 6), (6, 1), (6, 6)], ids=["rows", "columns", "square"])
+    def test_a_stack_gives_each_matrix_its_two_norm(self, shape):
+        # one batched call, bit for bit the per-matrix np.linalg.norm(., 2)
+        stack = default_rng(26).normal(size=(7,) + shape)
+        assert np.array_equal(d.spectral_norm(stack), [np.linalg.norm(M, 2) for M in stack])
+
+    def test_a_matrix_gives_one_value(self):
+        M = default_rng(27).normal(size=(4, 3))
+        for X in (M, M.tolist(), M[0], 2.5):
+            value = d.spectral_norm(X)
+            assert np.ndim(value) == 0
+            assert value == float(np.linalg.norm(np.atleast_2d(X), 2))
+
+
 class TestEstimateCertificate:
     def test_scalar_half(self):
         cert = d.estimate_certificate([[0.5]])
