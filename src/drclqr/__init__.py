@@ -36,6 +36,7 @@ from .drc import (
     DRCSystemMatrices,
     assemble,
     induced_drc,
+    optimal_drc,
     order_gaps,
     solve_drc,
     truncation_residual,
@@ -108,6 +109,7 @@ __all__ = [
     "joint_certificate",
     "load_system",
     "optimal_cost_gap_bound",
+    "optimal_drc",
     "order_gaps",
     "recover_gain",
     "run_sweep",

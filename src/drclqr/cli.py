@@ -18,6 +18,14 @@ four commands refuse an unstable A with :class:`Unstable`, before they
 solve anything.  validate, dare, and cost and simulate without --h solve
 the plant as loaded.
 
+Every command that needs the optimal order-H DRC reads it off the
+finite-horizon Riccati recursion: sweep and cost --h take every order's
+gaps from :func:`drclqr.drc.order_gaps`, and drc --h and simulate --h take
+the policy from :func:`drclqr.drc.optimal_drc`.  drc prints that policy's
+L1; its solve_residual is ||M L + J|| against the paper's assembled
+equation, a check of the recursion, and its cost is trace_P plus the
+order-H cost gap, the cost_drc that cost --h prints.
+
 The sweep (one row per order H) is the package's headline experiment: it
 measures how fast the first DRC block converges to the optimal gain and
 checks the measurement against the certified bounds, emitting CSV with the
@@ -64,8 +72,8 @@ from itertools import chain
 import numpy as np
 
 from . import bounds as bounds_mod
-from .cost import cost_of_drc, cost_of_gain, simulate
-from .drc import DRCPolicy, assemble, order_gaps, solve_drc
+from .cost import cost_of_gain, simulate
+from .drc import DRCPolicy, assemble, optimal_drc, order_gaps
 from .exceptions import DimensionMismatch, DrclqrError, InvalidHorizon, ParseError, Unstable
 from .lyapunov import gramian
 from .model import LQRSystem, joint_certificate, spectral_norm, spectral_radius, validate_system
@@ -394,21 +402,18 @@ def _stable_problem(args):
     return sys_, None
 
 
-def _solved_policy(sys_: LQRSystem, H: int):
-    G = gramian(sys_.A, sys_.Q)
-    mats = assemble(sys_, G, H)
-    policy = solve_drc(mats)
-    return G, mats, policy
-
-
 def _cmd_drc(args) -> int:
     sys_, K0 = _stable_problem(args)
-    G, mats, policy = _solved_policy(sys_, args.h)
+    sol = solve_dare(sys_)
+    policy = optimal_drc(sys_, sol.P, sol.K, args.h)
+    # the recursion's policy checked against the paper's equation
+    mats = assemble(sys_, gramian(sys_.A, sys_.Q), args.h)
     residual = spectral_norm(mats.M @ policy.stacked() + mats.J)
+    gap = order_gaps(sys_, sol.P, sol.K, args.h)[1][args.h - 1]
     print(f"H= {policy.H}")
     print(f"L1= {_fmt_matrix(policy.first if K0 is None else recover_gain(K0, policy.first))}")
     print(f"solve_residual= {_fmt(residual)}")
-    print(f"cost= {_fmt(cost_of_drc(sys_, G, policy).value)}")
+    print(f"cost= {_fmt(sol.trace_P + gap)}")
     return 0
 
 
@@ -438,14 +443,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.h is None:
-        sys_ = load_system(args.system, lax=args.lax)
-        controller = solve_dare(sys_).K
-        label = "gain"
-    else:
-        sys_, _ = _stable_problem(args)
-        _, _, controller = _solved_policy(sys_, args.h)
-        label = f"drc_H{args.h}"
+    sys_ = load_system(args.system, lax=args.lax) if args.h is None else _stable_problem(args)[0]
+    sol = solve_dare(sys_)
+    controller = sol.K if args.h is None else optimal_drc(sys_, sol.P, sol.K, args.h)
+    label = "gain" if args.h is None else f"drc_H{args.h}"
     report = simulate(sys_, controller, steps=args.steps, burn_in=args.burn_in, seed=args.seed)
     print(f"controller= {label}")
     print(f"value= {_fmt(report.value)}")

@@ -19,7 +19,12 @@ order-H DRC is the finite-horizon Riccati recursion started at P_0 = G: its
 first block is that recursion's gain K_{H-1} and its cost is trace(P_H)
 (Hager & Horowitz 1976; Bitmead & Gevers 1991).  :func:`order_gaps` reads
 every order's gain gap and cost gap off one closed form of that recursion,
-measured from the DARE's P, and factors no M.
+measured from the DARE's P, and :func:`optimal_drc` builds one order's
+blocks from its gains; neither factors M.  That is the library's route to
+the order-H optimum, and the only one the command line takes: near marginal
+stability it keeps the digits a factorization of M loses.
+:func:`solve_drc` stays as the paper's equation, (M, J) from
+:func:`assemble` solved densely, and is the check the recursion is held to.
 
 The module also constructs the policy induced by a state-feedback gain K,
 whose blocks are K(A+BK)^{k-1}, and evaluates the defect that truncating
@@ -53,6 +58,7 @@ __all__ = [
     "assemble",
     "solve_drc",
     "order_gaps",
+    "optimal_drc",
     "induced_drc",
     "truncation_residual",
 ]
@@ -154,32 +160,28 @@ def assemble(sys: LQRSystem, G, H: int) -> DRCSystemMatrices:
     return DRCSystemMatrices(M=M, J=J.reshape(H * n_u, sys.n_x), H=H)
 
 
-_PANEL = 64  # rows per diagonal panel of the blocked forward substitution
-
-
-def _forward(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """L^{-1} rhs for lower triangular L: per panel, one product with the rows solved and one dense solve."""
-    z = np.empty_like(rhs)
-    for i in range(0, L.shape[0], _PANEL):
-        j = i + _PANEL
-        z[i:j] = np.linalg.solve(L[i:j, i:j], rhs[i:j] - L[i:j, :i] @ z[:i])
-    return z
-
-
 def solve_drc(matrices: DRCSystemMatrices) -> DRCPolicy:
-    """Solve M L = -J for the optimal order-H policy.
+    """Solve M L = -J for the optimal order-H policy: the paper's equation.
 
     M is positive definite under the standing assumption (its smallest
     eigenvalue is floored by that of the Schur complement R - S Q^{-1} S'),
-    so the solve is a Cholesky factorization M = LL' and two forward
-    substitutions, the second on L' with rows and columns reversed.  A
-    factorization failure means an assumption was violated upstream and
-    raises :class:`NotPositiveDefinite` with a lambda_min estimate.
+    so a Cholesky factorization that fails means an assumption was violated
+    upstream, and raises :class:`NotPositiveDefinite` with a lambda_min
+    estimate.  Once M has passed that refusal the solve is one LU call.
+    Both factorizations are backward stable on a positive-definite M, so
+    either leaves an error of about cond(M) eps, and numpy has no triangular
+    solve that could reuse the Cholesky factor.  The price is flops: with
+    N = H n_u, the refusal and the LU cost N^3/3 + 2N^3/3 against N^3/3 for
+    the factor and its substitutions.  That is no difference at N = 60,
+    1.05-1.5x the time at N = 200 and 1.4-2x at N = 1000.
+
+    Near marginal stability both factorizations lose digits that
+    :func:`optimal_drc` keeps, so the library's route to the order-H
+    optimum is that function, and this solve stays as the paper's equation
+    and its check.
     """
-    L = cholesky(matrices.M, "assembled M")
-    z = _forward(L, -matrices.J)
-    X = np.ascontiguousarray(_forward(L.T[::-1, ::-1], z[::-1])[::-1])
-    return DRCPolicy.from_stacked(X, matrices.H)
+    cholesky(matrices.M, "assembled M")
+    return DRCPolicy.from_stacked(np.linalg.solve(matrices.M, -matrices.J), matrices.H)
 
 
 def order_gaps(sys: LQRSystem, P, K, H_max: int):
@@ -245,6 +247,31 @@ def order_gaps(sys: LQRSystem, P, K, H_max: int):
     Gamma = np.cumsum(V @ W, axis=0)  # Gamma_1 .. Gamma_{H_max}
     Z = D0 @ np.linalg.solve(np.eye(sys.n_x) + Gamma @ D0, F[1:])
     return -(W @ Z), np.sum(F[1:] * Z, axis=(1, 2))
+
+
+def optimal_drc(sys: LQRSystem, P, K, H: int) -> DRCPolicy:
+    """The optimal order-H policy, read off the finite-horizon Riccati recursion.
+
+    P and K are the DARE's solution.  The recursion's gains are
+    K_j = K + gain[j] from :func:`order_gaps`, and the disturbance entering
+    the state is answered by the recursion's feedback over the next H steps:
+    with Phi_0 = I,
+
+        L_k = K_{H-k} Phi_{k-1} ,     Phi_k = A Phi_{k-1} + B L_k ,
+
+    so Phi_{k-1} is the state k - 1 steps after a unit disturbance.  This is
+    the solution of :func:`solve_drc` on :func:`assemble`'s (M, J), with no
+    system of size H n_u formed: O(H n_x^3).  Each gain keeps its accuracy
+    where the dense solve loses digits, near marginal stability.
+    """
+    if H < 1:
+        raise InvalidHorizon(f"H must be >= 1, got {H}")
+    gains = K + order_gaps(sys, P, K, H)[0]
+    blocks, Phi = np.empty_like(gains), np.eye(sys.n_x)
+    for k in range(H):
+        blocks[k] = gains[H - 1 - k] @ Phi
+        Phi = sys.A @ Phi + sys.B @ blocks[k]
+    return DRCPolicy(blocks=blocks)
 
 
 def induced_drc(K, sys: LQRSystem, H: int) -> DRCPolicy:

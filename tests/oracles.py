@@ -9,8 +9,8 @@ brute-force tail summation instead of the Sylvester closed form, power growth
 instead of eigenvalues, fresh matrix powers instead of a running product, the
 O(H^2)-block direct formulas instead of the block-Toeplitz assembly, the
 same formulas in extended precision instead of thin float64 row products,
-the Riccati recursion step by step in exact rationals instead of its
-float64 closed form, a
+the Riccati recursion step by step in exact rationals or in 50-digit
+mpmath instead of its float64 closed form, a
 per-step rollout instead of the blocked one, the cosine and sine of the
 Box-Muller angle instead of its half-angle tangent.  Slow is fine;
 independent is the point.  The one exception is ``sda_iterations``, whose
@@ -19,6 +19,7 @@ docstring says why.
 
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import scipy.linalg
 
@@ -81,6 +82,43 @@ def exact_scalar_gaps(a, b, q, r, P, H_max: int):
         p = ric(p)
         costs.append(p - P)
     return gains, costs
+
+
+def mp_riccati_drc(sys, H: int, dps: int = 50) -> np.ndarray:
+    """Blocks of the optimal order-H DRC, (H, n_u, n_x), by the plain recursion in mpmath.
+
+    At ``dps`` digits: G from its Kronecker form (I - A' kron A') vec G =
+    vec Q, one dense LU; then the Riccati recursion from P_0 = G, step by
+    step, with gains K_j = -(R + B'P_jB)^{-1}(B'P_jA + S); then the blocks
+    L_k = K_{H-k} Phi_{k-1}, Phi_0 = I, Phi_k = A Phi_{k-1} + B L_k.  No
+    DARE and no closed form: the plant's float64 data, read exactly, are the
+    only input, and the result is rounded to float64 once.
+    """
+    with mpmath.workdps(dps):
+        A, B, Q, R, S = (mpmath.matrix(X.tolist()) for X in (sys.A, sys.B, sys.Q, sys.R, sys.S))
+        n = A.rows
+        # entry (i, j) of A'GA is sum_{k,l} A[k,i] G[k,l] A[l,j]; G[i,j] is unknown i + j n
+        coeff = mpmath.eye(n * n)
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    for l in range(n):
+                        coeff[i + j * n, k + l * n] -= A[k, i] * A[l, j]
+        g = mpmath.lu_solve(coeff, mpmath.matrix([Q[i, j] for j in range(n) for i in range(n)]))
+        P = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                P[i, j] = g[i + j * n]
+        gains = []
+        for _ in range(H):
+            K = -mpmath.inverse(R + B.T * P * B) * (B.T * P * A + S)
+            gains.append(K)
+            P = A.T * P * A + Q + (A.T * P * B + S.T) * K
+        blocks, Phi = [], mpmath.eye(n)
+        for k in range(1, H + 1):
+            blocks.append(gains[H - k] * Phi)
+            Phi = A * Phi + B * blocks[-1]
+        return np.array([np.array(L.tolist(), dtype=float) for L in blocks])
 
 
 def direct_assemble(sys, G, H: int) -> DRCSystemMatrices:

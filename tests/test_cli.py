@@ -20,7 +20,15 @@ from drclqr.cli import (
 )
 from conftest import DEMO_PATH, SCALAR_STABLE_PATH, SCALAR_UNSTABLE_PATH, SYSTEMS_DIR
 from numpy.random import default_rng
-from oracles import direct_assemble, exact_scalar_gaps, random_system, random_unstable_system
+from oracles import (
+    direct_assemble,
+    exact_scalar_gaps,
+    mp_riccati_drc,
+    random_system,
+    random_unstable_system,
+    scaled_orthogonal,
+    system_with_dynamics,
+)
 
 
 def write_doc(tmp_path, doc, name="sys.json"):
@@ -518,6 +526,38 @@ class TestDispatch:
             assert gap == cost_gap[H]
             assert float(gap) >= 0.0
 
+    @pytest.mark.parametrize("path", sorted(SYSTEMS_DIR.glob("*.json")), ids=lambda path: path.stem)
+    def test_drc_cost_is_the_cost_commands_cost_drc(self, path, capsys):
+        # both are trace_P plus the order-H gap read off the Riccati recursion
+        for H in (1, 10, 30):
+            assert dispatch(["drc", str(path), "--h", str(H)]) == 0
+            cost = capsys.readouterr().out.split("cost= ")[-1].strip()
+            assert dispatch(["cost", str(path), "--h", str(H)]) == 0
+            assert cost == capsys.readouterr().out.split("cost_drc= ")[1].split()[0]
+
+    @pytest.mark.parametrize("path", sorted(SYSTEMS_DIR.glob("*.json")), ids=lambda path: path.stem)
+    def test_simulate_h_rolls_out_the_recursions_policy(self, path, capsys):
+        assert dispatch(["simulate", str(path), "--h", "10", "--steps", "3000"]) == 0
+        value = capsys.readouterr().out.split("value= ")[1].split()[0]
+        sys_, K0 = load_system_file(path)
+        work = sys_ if K0 is None else d.transform(sys_, K0).transformed
+        sol = d.solve_dare(work)
+        report = d.simulate(work, d.optimal_drc(work, sol.P, sol.K, 10), steps=3000, burn_in=1000, seed=0)
+        assert value == f"{report.value:.12g}"
+
+    @pytest.mark.parametrize("H", [7, 30])
+    def test_drc_near_marginal_stability_prints_the_recursions_l1(self, H, tmp_path, capsys):
+        # at rho(A) = 1 - 1e-6 a dense solve of M L = -J puts L1 ~1e-7 off;
+        # the printed L1 matches a 50-digit recursion to its 12 digits
+        rng = default_rng(6)
+        sys_ = system_with_dynamics(rng, scaled_orthogonal(rng, 6, 1.0 - 1e-6), 2)
+        save_system(sys_, tmp_path / "marginal.json")
+        assert dispatch(["drc", str(tmp_path / "marginal.json"), "--h", str(H)]) == 0
+        text = capsys.readouterr().out.split("L1= [[")[1].split("]]")[0]
+        L1 = np.array([[float(v) for v in row.split(", ")] for row in text.split("]; [")])
+        ref = mp_riccati_drc(sys_, H)[0]
+        assert np.linalg.norm(L1 - ref) <= 1e-11 * np.linalg.norm(ref)
+
     def test_prestabilized_sweep_runs(self, capsys):
         assert dispatch(["sweep", str(SCALAR_UNSTABLE_PATH), "--h-max", "4"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
@@ -597,7 +637,8 @@ class TestEverySubcommandOnEverySystemFile:
         printed = float(capsys.readouterr().out.split("L1= [[")[1].split("]]")[0])
         sys_, K0 = load_system_file(SCALAR_UNSTABLE_PATH)
         work = d.transform(sys_, K0).transformed
-        L1 = d.recover_gain(K0, d.solve_drc(d.assemble(work, d.gramian(work.A, work.Q), H)).first)
+        sol = d.solve_dare(work)
+        L1 = d.recover_gain(K0, d.optimal_drc(work, sol.P, sol.K, H).first)
         assert printed == float(f"{L1[0, 0]:.12g}")
         err = np.linalg.norm(L1 - d.solve_dare(sys_).K, 2)
         assert err == pytest.approx(run_sweep(work, H).err_L1_K[-1], rel=1e-6)

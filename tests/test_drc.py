@@ -7,6 +7,7 @@ from drclqr.bounds import schur_lambda_min
 from oracles import (
     direct_assemble,
     extended_drc_rows,
+    mp_riccati_drc,
     random_system,
     scaled_orthogonal,
     series_truncation_residual,
@@ -36,6 +37,18 @@ def assert_matches_direct_assembly(sys_, H):
     assert np.array_equal(mats.M, mats.M.T)
     assert np.linalg.norm(mats.M - ref.M) <= 1e-12 * np.linalg.norm(ref.M)
     assert np.linalg.norm(mats.J - ref.J) <= 1e-12 * np.linalg.norm(ref.J)
+
+
+def assert_matches_dense_solve(sys_, orders):
+    sol = d.solve_dare(sys_)
+    G = d.gramian(sys_.A, sys_.Q)
+    for H in orders:
+        policy = d.optimal_drc(sys_, sol.P, sol.K, H)
+        dense = d.solve_drc(direct_assemble(sys_, G, H)).stacked()
+        assert policy.blocks.shape == (H, sys_.n_u, sys_.n_x)
+        # the dense route's own round-off sets the tolerance, as for
+        # order_gaps: on the Jordan plants its blocks are off by ~1e-12
+        assert np.linalg.norm(policy.stacked() - dense, 2) <= 1e-11 * (1 + np.linalg.norm(dense, 2))
 
 
 def assert_matches_series_residual(sys_, H):
@@ -174,6 +187,40 @@ class TestOrderGaps:
     def test_invalid_horizon(self, demo_system, demo_solution):
         with pytest.raises(d.InvalidHorizon):
             d.order_gaps(demo_system, demo_solution.P, demo_solution.K, 0)
+
+
+class TestOptimalDrc:
+    def test_random_systems_match_the_dense_solve(self):
+        rng = default_rng(27)
+        for _ in range(4):
+            assert_matches_dense_solve(random_system(rng), (1, 7, 30, 100))
+
+    @pytest.mark.parametrize("dynamics", sorted(set(SCALE_DYNAMICS) - {"rho1-1e-6"}))
+    @pytest.mark.parametrize("n_u", [2, 10])
+    def test_matches_the_dense_solve_at_scale(self, n_u, dynamics):
+        rng = default_rng([n_u, 100, sorted(SCALE_DYNAMICS).index(dynamics)])
+        assert_matches_dense_solve(system_with_dynamics(rng, SCALE_DYNAMICS[dynamics](rng), n_u), (1, 7, 30, 100))
+
+    @pytest.mark.parametrize("H", [7, 30])
+    def test_keeps_its_digits_near_marginal_stability(self, H):
+        # at rho(A) = 1 - 1e-6 the dense solve's L_1 is ~1e-7 off
+        rng = default_rng(6)
+        sys_ = system_with_dynamics(rng, scaled_orthogonal(rng, 6, 1.0 - 1e-6), 2)
+        sol = d.solve_dare(sys_)
+        ref = mp_riccati_drc(sys_, H)
+        errs = d.spectral_norm(d.optimal_drc(sys_, sol.P, sol.K, H).blocks - ref) / d.spectral_norm(ref)
+        assert errs[0] <= 1e-13
+        assert errs.max() <= 1e-10
+
+    def test_first_block_is_the_sweeps_gain(self, demo_system, demo_solution):
+        # L_1 is the recursion's gain K_{H-1} = K + gain gap, bit for bit
+        P, K = demo_solution.P, demo_solution.K
+        gains, _ = d.order_gaps(demo_system, P, K, 10)
+        assert np.array_equal(d.optimal_drc(demo_system, P, K, 10).first, K + gains[-1])
+
+    def test_invalid_horizon(self, demo_system, demo_solution):
+        with pytest.raises(d.InvalidHorizon):
+            d.optimal_drc(demo_system, demo_solution.P, demo_solution.K, 0)
 
 
 class TestDRCPolicy:

@@ -113,6 +113,26 @@ def test_only_code_that_holds_a_k0_names_it_in_an_error():
     assert [(module, func) for module, func, knows_k0 in raises if not knows_k0] == []
 
 
+def _callers_of(names):
+    """{module: sorted called names} for every package module that calls one of ``names``."""
+    callers = {}
+    for path in Path(d.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called in names:
+                    callers.setdefault(path.stem, set()).add(called)
+    return {module: sorted(called) for module, called in callers.items()}
+
+
+def test_no_module_solves_or_prices_through_the_dense_system():
+    # solve_drc and cost_of_drc serve the paper's equation, the tests and the
+    # benchmark: every command reads the order-H optimum off the Riccati
+    # recursion (order_gaps, optimal_drc) and factors no M
+    assert _callers_of({"solve_drc", "cost_of_drc"}) == {}
+
+
 def _linalg_uses(tree, func):
     """Line numbers of every ``<x>.linalg.<func>`` and ``from numpy.linalg import <func>``."""
     lines = []
