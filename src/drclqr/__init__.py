@@ -18,111 +18,92 @@ Module map:
     bounds        every closed-form bound, the instability witness
     prestabilize  unstable plants via a pre-stabilizing gain
     cli           system files, the H-sweep experiment, the drclqr command
+
+Every public name resolves on first use: ``drclqr.solve_dare`` (or
+``from drclqr import solve_dare``) imports :mod:`drclqr.riccati` then, and
+not before, so a command imports only the modules it runs.  The lookup is
+made anew on every access and returns the home module's current binding,
+so a name patched in its home module is seen patched here too.
 """
 
-from .bounds import (
-    BoundInputs,
-    cost_gap_bound,
-    gain_gap_bound,
-    gramian_power_bound,
-    instability_witness,
-    optimal_cost_gap_bound,
-    schur_lambda_min,
-    witness_plant,
-)
-from .cost import CostReport, cost_of_drc, cost_of_gain, drc_state_covariance, simulate
-from .drc import (
-    DRCPolicy,
-    DRCSystemMatrices,
-    assemble,
-    induced_drc,
-    optimal_drc,
-    order_gaps,
-    solve_drc,
-    truncation_residual,
-)
-from .exceptions import (
-    AsymmetricMatrix,
-    DimensionMismatch,
-    DrclqrError,
-    InvalidHorizon,
-    NoConvergence,
-    NonFinite,
-    NotPositiveDefinite,
-    NotStabilizing,
-    ParseError,
-    SingularPencil,
-    Unstable,
-)
-from .lyapunov import gramian, solve_dsylvester
-from .model import (
-    LQRSystem,
-    StabilityCertificate,
-    ValidationReport,
-    estimate_certificate,
-    joint_certificate,
-    spectral_norm,
-    spectral_radius,
-    validate_system,
-)
-from .prestabilize import PrestabilizedSystem, default_prestabilizer, recover_gain, transform
-from .riccati import RiccatiSolution, dare_residual, solve_dare
-from .cli import SweepResult, load_system, run_sweep, save_system
+import importlib
+
+# Each public name and the module it resolves from: the module that
+# defines it, except spectral_radius, which model re-exports from lyapunov.
+_HOME = {
+    "AsymmetricMatrix": "exceptions",
+    "BoundInputs": "bounds",
+    "CostReport": "cost",
+    "DRCPolicy": "drc",
+    "DRCSystemMatrices": "drc",
+    "DimensionMismatch": "exceptions",
+    "DrclqrError": "exceptions",
+    "InvalidHorizon": "exceptions",
+    "LQRSystem": "model",
+    "NoConvergence": "exceptions",
+    "NonFinite": "exceptions",
+    "NotPositiveDefinite": "exceptions",
+    "NotStabilizing": "exceptions",
+    "ParseError": "exceptions",
+    "PrestabilizedSystem": "prestabilize",
+    "RiccatiSolution": "riccati",
+    "SingularPencil": "exceptions",
+    "StabilityCertificate": "model",
+    "SweepResult": "cli",
+    "Unstable": "exceptions",
+    "ValidationReport": "model",
+    "assemble": "drc",
+    "cost_gap_bound": "bounds",
+    "cost_of_drc": "cost",
+    "cost_of_gain": "cost",
+    "dare_residual": "riccati",
+    "default_prestabilizer": "prestabilize",
+    "drc_state_covariance": "cost",
+    "estimate_certificate": "model",
+    "gain_gap_bound": "bounds",
+    "gramian": "lyapunov",
+    "gramian_power_bound": "bounds",
+    "induced_drc": "drc",
+    "instability_witness": "bounds",
+    "joint_certificate": "model",
+    "load_system": "cli",
+    "optimal_cost_gap_bound": "bounds",
+    "optimal_drc": "drc",
+    "order_gaps": "drc",
+    "recover_gain": "prestabilize",
+    "run_sweep": "cli",
+    "save_system": "cli",
+    "schur_lambda_min": "bounds",
+    "simulate": "cost",
+    "solve_dare": "riccati",
+    "solve_drc": "drc",
+    "solve_dsylvester": "lyapunov",
+    "spectral_norm": "model",
+    "spectral_radius": "model",
+    "transform": "prestabilize",
+    "truncation_residual": "drc",
+    "validate_system": "model",
+    "witness_plant": "bounds",
+}
+_MODULES = frozenset(_HOME.values())
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AsymmetricMatrix",
-    "BoundInputs",
-    "CostReport",
-    "DRCPolicy",
-    "DRCSystemMatrices",
-    "DimensionMismatch",
-    "DrclqrError",
-    "InvalidHorizon",
-    "LQRSystem",
-    "NoConvergence",
-    "NonFinite",
-    "NotPositiveDefinite",
-    "NotStabilizing",
-    "ParseError",
-    "PrestabilizedSystem",
-    "RiccatiSolution",
-    "SingularPencil",
-    "StabilityCertificate",
-    "SweepResult",
-    "Unstable",
-    "ValidationReport",
-    "assemble",
-    "cost_gap_bound",
-    "cost_of_drc",
-    "cost_of_gain",
-    "dare_residual",
-    "default_prestabilizer",
-    "drc_state_covariance",
-    "estimate_certificate",
-    "gain_gap_bound",
-    "gramian",
-    "gramian_power_bound",
-    "induced_drc",
-    "instability_witness",
-    "joint_certificate",
-    "load_system",
-    "optimal_cost_gap_bound",
-    "optimal_drc",
-    "order_gaps",
-    "recover_gain",
-    "run_sweep",
-    "save_system",
-    "schur_lambda_min",
-    "simulate",
-    "solve_dare",
-    "solve_drc",
-    "solve_dsylvester",
-    "spectral_norm",
-    "spectral_radius",
-    "transform",
-    "truncation_residual",
-    "validate_system",
-    "witness_plant",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    """Import the submodule ``name``, or the home module of a public name, on first use (PEP 562).
+
+    A public name is looked up in its home module on every access and never
+    stored here, so it always reads the home module's current binding.
+    """
+    if name in _MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _MODULES | set(__all__))

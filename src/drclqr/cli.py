@@ -53,8 +53,17 @@ solves anything, so an unwritable path fails at once; a sweep that fails
 after that point leaves the file empty.
 The argument parser is built once per process: repeated dispatch calls in
 one interpreter share it, and each parse fills a fresh namespace.
-Set DRC_LQR_LOG to error|info|debug to control diagnostics on stderr; the
-result stream stays clean.
+The solver modules (riccati, cost, bounds, prestabilize) are imported inside
+the commands and functions that use them, so a command loads only what it
+runs: validate loads none of them.
+
+Set DRC_LQR_LOG to info or debug to print diagnostics on stderr, one
+``drclqr: INFO: <message>`` line each; debug prints the same lines as info.
+error, the default, prints none, and any other value prints one warning per
+dispatch and is read as error.  The result stream stays clean.  The lines
+are printed directly, not through the stdlib logging module: there is no
+``logging.getLogger("drclqr")`` logger to attach handlers to, and a library
+call of :func:`run_sweep` prints them under the same setting.
 """
 
 from __future__ import annotations
@@ -62,7 +71,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import logging
 import os
 import sys as _sys
 import time
@@ -71,14 +79,10 @@ from itertools import chain
 
 import numpy as np
 
-from . import bounds as bounds_mod
-from .cost import cost_of_gain, simulate
 from .drc import DRCPolicy, assemble, optimal_drc, order_gaps
 from .exceptions import DimensionMismatch, DrclqrError, InvalidHorizon, ParseError, Unstable
 from .lyapunov import gramian
 from .model import LQRSystem, joint_certificate, spectral_norm, spectral_radius, validate_system
-from .prestabilize import recover_gain, transform
-from .riccati import solve_dare
 
 __all__ = [
     "SweepResult",
@@ -90,8 +94,6 @@ __all__ = [
     "dispatch",
     "main",
 ]
-
-log = logging.getLogger("drclqr")
 
 CSV_HEADER = "H,err_L1_K,bound_thm1,cost_gap,bound_perf,wall_ms"
 
@@ -258,16 +260,17 @@ def run_sweep(sys_: LQRSystem, H_max: int) -> SweepResult:
     ``spectral_norm`` call on their stack; wall_ms is the 1/H_max share of
     that call's wall time, one value for the whole sweep.
     """
+    from .bounds import BoundInputs, cost_gap_bound, gain_gap_bound
+    from .riccati import solve_dare
+
     if H_max < 1:
         raise InvalidHorizon(f"H_max must be >= 1, got {H_max}")
 
     sol = solve_dare(sys_)
-    log.info("DARE solved: %d doubling steps, residual %.3e", sol.iterations, sol.residual_norm)
+    _log_info(f"DARE solved: {sol.iterations} doubling steps, residual {sol.residual_norm:.3e}")
     cert = joint_certificate(sys_.A, sys_.A + sys_.B @ sol.K)
-    log.info(
-        "joint certificate: tau=%.6g rho=%.6g (method=%s, k_max=%d)", cert.tau, cert.rho, cert.method, cert.k_max
-    )
-    inp = bounds_mod.BoundInputs.from_system(sys_, sol.K, cert)
+    _log_info(f"joint certificate: tau={cert.tau:.6g} rho={cert.rho:.6g} (method={cert.method}, k_max={cert.k_max})")
+    inp = BoundInputs.from_system(sys_, sol.K, cert)
 
     gain_gaps, cost_gaps = order_gaps(sys_, sol.P, sol.K, H_max)
 
@@ -278,9 +281,9 @@ def run_sweep(sys_: LQRSystem, H_max: int) -> SweepResult:
     orders = np.arange(1, H_max + 1)
     return SweepResult(
         err_L1_K=errs,
-        bound_thm1=bounds_mod.gain_gap_bound(inp, orders),
+        bound_thm1=gain_gap_bound(inp, orders),
         cost_gap=cost_gaps,
-        bound_perf=bounds_mod.cost_gap_bound(inp, orders),
+        bound_perf=cost_gap_bound(inp, orders),
         wall_ms=wall_ms,
         slope=_fit_slope(errs),
         tau=cert.tau,
@@ -378,6 +381,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_dare(args) -> int:
+    from .riccati import solve_dare
+
     sys_ = load_system(args.system, lax=args.lax)
     sol = solve_dare(sys_)
     print(f"K= {_fmt_matrix(sol.K)}")
@@ -396,6 +401,8 @@ def _stable_problem(args):
     """
     sys_, K0 = load_system_file(args.system, lax=args.lax)
     if K0 is not None:
+        from .prestabilize import transform
+
         return transform(sys_, K0).transformed, K0
     if (sr := spectral_radius(sys_.A)) >= 1.0:
         raise Unstable(f"A has spectral radius {sr:.6g} >= 1; a pre-stabilizing K0 is required")
@@ -403,6 +410,9 @@ def _stable_problem(args):
 
 
 def _cmd_drc(args) -> int:
+    from .prestabilize import recover_gain
+    from .riccati import solve_dare
+
     sys_, K0 = _stable_problem(args)
     sol = solve_dare(sys_)
     policy = optimal_drc(sys_, sol.P, sol.K, args.h)
@@ -418,6 +428,9 @@ def _cmd_drc(args) -> int:
 
 
 def _cmd_cost(args) -> int:
+    from .cost import cost_of_gain
+    from .riccati import solve_dare
+
     sys_ = load_system(args.system, lax=args.lax) if args.h is None else _stable_problem(args)[0]
     sol = solve_dare(sys_)
     gain_cost = cost_of_gain(sys_, sol.K).value
@@ -438,11 +451,14 @@ def _cmd_sweep(args) -> int:
         return 0
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         write_csv(run_sweep(sys_, args.h_max), fh)
-    log.info("wrote %d rows to %s", args.h_max, args.out)
+    _log_info(f"wrote {args.h_max} rows to {args.out}")
     return 0
 
 
 def _cmd_simulate(args) -> int:
+    from .cost import simulate
+    from .riccati import solve_dare
+
     sys_ = load_system(args.system, lax=args.lax) if args.h is None else _stable_problem(args)[0]
     sol = solve_dare(sys_)
     controller = sol.K if args.h is None else optimal_drc(sys_, sol.P, sol.K, args.h)
@@ -458,9 +474,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from .bounds import instability_witness
+
     rng = np.random.default_rng(args.seed)
     policy = DRCPolicy(blocks=rng.uniform(-1.0, 1.0, (args.h, 1, args.n)))
-    lower, holds, cov = bounds_mod.instability_witness(args.n, args.h, policy, args.t)
+    lower, holds, cov = instability_witness(args.n, args.h, policy, args.t)
     print(f"n= {args.n}")
     print(f"H= {args.h}")
     print(f"t= {args.t}")
@@ -481,19 +499,17 @@ _COMMANDS = {
     "witness": _cmd_witness,
 }
 
-_LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
+_LOG_LEVELS = ("debug", "error", "info")
 
 
-def _configure_logging():
-    wanted = os.environ.get("DRC_LQR_LOG", "error").strip().lower()
-    level = _LOG_LEVELS.get(wanted)
-    if level is None:
-        print(f"warning: DRC_LQR_LOG={wanted!r} not in {sorted(_LOG_LEVELS)}; using 'error'", file=_sys.stderr)
-        level = logging.ERROR
-    handler = logging.StreamHandler(_sys.stderr)
-    handler.setFormatter(logging.Formatter("%(name)s: %(levelname)s: %(message)s"))
-    log.handlers[:] = [handler]
-    log.setLevel(level)
+def _log_level() -> str:
+    return os.environ.get("DRC_LQR_LOG", "error").strip().lower()
+
+
+def _log_info(message: str):
+    """Print one diagnostic line to stderr when DRC_LQR_LOG is info or debug."""
+    if _log_level() in ("info", "debug"):
+        print(f"drclqr: INFO: {message}", file=_sys.stderr)
 
 
 def dispatch(argv) -> int:
@@ -503,7 +519,8 @@ def dispatch(argv) -> int:
     the process; each parse fills a fresh namespace, so no option carries
     over from one call to the next.
     """
-    _configure_logging()
+    if (level := _log_level()) not in _LOG_LEVELS:
+        print(f"warning: DRC_LQR_LOG={level!r} not in {list(_LOG_LEVELS)}; using 'error'", file=_sys.stderr)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +30,13 @@ from oracles import (
     scaled_orthogonal,
     system_with_dynamics,
 )
+
+
+def run_python(*args):
+    """A fresh interpreter run on ``args``, with this checkout's src first on its path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
 
 
 def write_doc(tmp_path, doc, name="sys.json"):
@@ -563,29 +571,33 @@ class TestDispatch:
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 6
 
-    def test_log_env_routes_to_stderr(self, capsys, monkeypatch):
-        monkeypatch.setenv("DRC_LQR_LOG", "info")
-        assert dispatch(["sweep", str(DEMO_PATH), "--h-max", "2"]) == 0
+    @pytest.mark.parametrize("level", [None, "error", "info", "debug", " Debug "])
+    def test_log_env_routes_to_stderr(self, level, tmp_path, capsys, monkeypatch):
+        # info and debug print the same three lines; unset or error prints none
+        if level is None:
+            monkeypatch.delenv("DRC_LQR_LOG", raising=False)
+        else:
+            monkeypatch.setenv("DRC_LQR_LOG", level)
+        out = tmp_path / "sweep.csv"
+        assert dispatch(["sweep", str(DEMO_PATH), "--h-max", "2", "--out", str(out)]) == 0
         captured = capsys.readouterr()
-        assert "joint certificate" in captured.err and "method=scan" in captured.err
-        assert "doubling steps" in captured.err
-        assert captured.out.startswith(CSV_HEADER)
+        assert captured.out == "" and out.read_text(encoding="utf-8").startswith(CSV_HEADER)
+        expected = [] if level in (None, "error") else [
+            r"drclqr: INFO: DARE solved: \d+ doubling steps, residual \S+e[-+]\d+",
+            r"drclqr: INFO: joint certificate: tau=\S+ rho=\S+ \(method=scan, k_max=\d+\)",
+            rf"drclqr: INFO: wrote 2 rows to {re.escape(str(out))}",
+        ]
+        lines = captured.err.splitlines()
+        assert len(lines) == len(expected) and all(map(re.fullmatch, expected, lines)), lines
 
     def test_python_dash_m_entry_point(self):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "drclqr", "validate", str(DEMO_PATH)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_python("-m", "drclqr", "validate", str(DEMO_PATH))
         assert proc.returncode == 0, proc.stderr
         assert "accepted= true" in proc.stdout
         assert "RuntimeWarning" not in proc.stderr
 
     def test_import_and_validate_need_no_scipy(self):
         # every subcommand, with scipy import-blocked: the runtime is numpy alone
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         script = (
             "import sys; sys.modules['scipy'] = None\n"
             "from drclqr.cli import dispatch\n"
@@ -596,14 +608,36 @@ class TestDispatch:
             "['witness', '--n', '4', '--h', '3', '--t', '12']):\n"
             "    assert dispatch(argv) == 0, argv\n"
         )
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+        proc = run_python("-c", script)
         assert proc.returncode == 0, proc.stderr
         assert "accepted= true" in proc.stdout
 
-    def test_unknown_log_level_warns(self, capsys, monkeypatch):
+    def test_a_command_imports_only_the_modules_it_runs(self):
+        # a cold validate loads no solver module and no stdlib logging; dare adds riccati alone
+        script = (
+            "import sys\n"
+            "from drclqr.cli import dispatch\n"
+            "optional = {'drclqr.bounds', 'drclqr.cost', 'drclqr.prestabilize', 'drclqr.riccati', 'logging'}\n"
+            "for command in ('validate', 'dare'):\n"
+            f"    assert dispatch([command, {str(DEMO_PATH)!r}]) == 0\n"
+            "    print('loaded', *sorted(optional & set(sys.modules)))\n"
+        )
+        proc = run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert [line for line in proc.stdout.splitlines() if line.startswith("loaded")] == [
+            "loaded",
+            "loaded drclqr.riccati",
+        ]
+
+    @pytest.mark.parametrize("argv", [["validate"], ["sweep", "--h-max", "2"]])
+    def test_unknown_log_level_warns(self, argv, capsys, monkeypatch):
+        # one warning per dispatch, and no diagnostics: the value is read as error
         monkeypatch.setenv("DRC_LQR_LOG", "chatty")
-        assert dispatch(["validate", str(DEMO_PATH)]) == 0
-        assert "DRC_LQR_LOG" in capsys.readouterr().err
+        for _ in range(2):
+            assert dispatch([argv[0], str(DEMO_PATH), *argv[1:]]) == 0
+            assert capsys.readouterr().err == (
+                "warning: DRC_LQR_LOG='chatty' not in ['debug', 'error', 'info']; using 'error'\n"
+            )
 
 
 SUBCOMMANDS = [

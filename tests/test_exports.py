@@ -27,6 +27,49 @@ def test_package_all_resolves():
     assert not [attr for attr in d.__all__ if not hasattr(d, attr)]
 
 
+def test_every_package_name_is_its_home_modules_binding():
+    homes = {name: importlib.import_module(getattr(d, name).__module__) for name in d.__all__}
+    assert not [name for name, home in homes.items() if getattr(d, name) is not getattr(home, name)]
+
+
+def test_package_names_are_looked_up_anew_on_every_access(monkeypatch):
+    # perfbench's tracer patches the home modules and restores them; a value
+    # cached in the package would outlive the patch or miss it
+    original = d.drc.assemble
+
+    def spy(*args, **kwargs):
+        return original(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(d.drc, "assemble", spy)
+        assert d.assemble is spy
+    assert d.assemble is original
+    assert "assemble" not in vars(d)
+
+
+def test_package_dir_star_import_and_submodules():
+    assert set(d.__all__) <= set(dir(d))
+    namespace = {}
+    exec("from drclqr import *", namespace)
+    assert not [name for name in d.__all__ if namespace.get(name) is not getattr(d, name)]
+    assert not [m for m in MODULES if d.__getattr__(m) is not importlib.import_module(f"drclqr.{m}")]
+    with pytest.raises(AttributeError, match="no_such_name"):
+        d.no_such_name
+
+
+def test_the_cli_calls_the_solver_its_home_module_binds_now(monkeypatch, capsys):
+    real, calls = d.riccati.solve_dare, []
+
+    def spy(sys_):
+        calls.append(sys_)
+        return real(sys_)
+
+    monkeypatch.setattr(d.riccati, "solve_dare", spy)
+    assert d.cli.dispatch(["sweep", str(SYSTEMS_DIR / "demo3x3.json"), "--h-max", "3"]) == 0
+    assert capsys.readouterr().out.startswith("H,")
+    assert len(calls) == 1
+
+
 def test_gramian_power_bound_lives_in_bounds():
     assert d.gramian_power_bound is d.bounds.gramian_power_bound
     assert not hasattr(d.lyapunov, "gramian_power_bound")
