@@ -30,11 +30,13 @@ kernel where its ``cos`` and ``sin`` may be scalar library calls, and the
 result is within a few ulps of r_j of the cosine and sine route.  numpy
 picks its float64 ``tan`` and ``log`` kernels by CPU type, so the stream's
 last bits can differ between CPU types; on one machine they are
-deterministic.  A rollout draws its noise in blocks of steps, one
-generator per block, and finds each block's states with a log-depth
-doubling scan rather than a step-by-step loop.  (An earlier layout keyed one
-generator on (seed, t) per step, so the same seed gave different numbers
-before.)
+deterministic.  A rollout keys one generator and draws its noise from it
+in blocks of steps: every row ends on a whole counter step, so the blocks
+read the same rows as one generator per step would; :func:`disturbance`
+positions a generator at step t instead.  Each block's states come from a
+log-depth doubling scan rather than a step-by-step loop.  (An earlier
+layout keyed one generator on (seed, t) per step, so the same seed gave
+different numbers before.)
 
 The Monte-Carlo ``std_error`` is a batch-means estimate: floor(sqrt(n))
 consecutive batches over the n post-burn-in costs.  Stage costs of a
@@ -135,15 +137,26 @@ def cost_of_drc(sys: LQRSystem, G, policy: DRCPolicy) -> CostReport:
 _BLOCK = 2048
 
 
-def _noise(seed: int, t0: int, m: int, n: int) -> np.ndarray:
-    """Disturbances of steps t0 .. t0+m-1 as the rows of an (m, n) array.
+def _stream(seed: int, t0: int, n: int) -> np.random.Generator:
+    """The generator whose next draw is the disturbance of step t0.
 
-    One generator serves the block; by the counter layout in the module
-    docstring a row depends only on (seed, t), not on the block it came from.
+    By the counter layout in the module docstring step t starts after
+    counter increment t*s, so positioning is one construction.
     """
     pairs = (n + 1) // 2
     s = (2 * pairs + 3) // 4
-    gen = np.random.Generator(np.random.Philox(key=seed, counter=t0 * s))
+    return np.random.Generator(np.random.Philox(key=seed, counter=t0 * s))
+
+
+def _draw(gen: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """The next m disturbances of ``gen``'s stream as the rows of an (m, n) array.
+
+    Each row takes 4s doubles, a whole number of Philox counter steps, so
+    after m rows the generator stands at the start of the next step's row:
+    a row depends only on (seed, t), not on the blocks it was drawn in.
+    """
+    pairs = (n + 1) // 2
+    s = (2 * pairs + 3) // 4
     u = gen.random((m, 4 * s))
     r = np.sqrt(-2.0 * np.log(1.0 - u[:, :pairs]))  # 1 - u lies in (0, 1]: finite log
     t = np.tan(np.pi * u[:, pairs : 2 * pairs])  # half-angle tangent; |t| < 2e16, so t*t is finite
@@ -159,28 +172,30 @@ def disturbance(seed: int, t: int, n: int) -> np.ndarray:
     """The standard-normal disturbance vector for step t of a rollout.
 
     Row t of the stream :func:`simulate` draws in blocks (see the module
-    docstring for the counter layout).  Pure function of its arguments: two
-    calls with the same (seed, t, n) return identical vectors regardless of
-    call order.
+    docstring for the counter layout), from a generator positioned at step t.
+    Pure function of its arguments: two calls with the same (seed, t, n)
+    return identical vectors regardless of call order.
     """
-    return _noise(seed, t, 1, n)[0]
+    return _draw(_stream(seed, t, n), 1, n)[0]
 
 
-def _states(x0: np.ndarray, d: np.ndarray, powers_T: list[np.ndarray]) -> np.ndarray:
+def _states(x0: np.ndarray, d: np.ndarray, F: np.ndarray, powers_T: list[np.ndarray]) -> np.ndarray:
     """States x_0 .. x_m of x_{t+1} = F x_t + d_t from x_0 = x0, shape (m+1, n).
 
     ``powers_T[j]`` is (F^(2^j))'.  A recursive-doubling prefix scan over the
     forcing rows e_0 = d_0 + F x0, e_s = d_s: the level of step k = 2^j adds
     F^k times the row k places back to every row, after which row i holds
     sum F^(i-s) e_s over i-2k < s <= i.  Once 2k >= m that is x_{i+1}, so
-    ceil(log2 m) levels complete every row.
+    ceil(log2 m) levels complete every row.  F x0 is a product with F itself:
+    BLAS rounds a matrix-vector product by the matrix's layout, and F keeps
+    the carry's bits independent of how ``powers_T[0]`` is stored.
     """
     m, n = d.shape
     xs = np.empty((m + 1, n))
     xs[0] = x0
     y = xs[1:]
     y[:] = d
-    y[0] += x0 @ powers_T[0]
+    y[0] += F @ x0
     for j, P_T in enumerate(powers_T[: (m - 1).bit_length()]):
         k = 1 << j
         y[k:] += y[:-k] @ P_T
@@ -215,8 +230,9 @@ def simulate(sys: LQRSystem, controller, steps: int, burn_in: int = 1000, seed: 
     that is non-finite or exceeds ``OVERFLOW_LIMIT``.
 
     A DRC uses the true realized disturbances, with w_s = 0 for s < 0.  The
-    work runs in fixed blocks of steps: the DRC input as an FIR filter over
-    the block's noise, the state by a doubling scan (see ``_states``).
+    work runs in fixed blocks of steps, all drawn from one generator keyed
+    on ``seed``: the DRC input as an FIR filter over the block's noise, the
+    state by a doubling scan (see ``_states``).
     """
     if burn_in < 0 or steps <= burn_in:
         raise ValueError(f"need steps > burn_in >= 0, got steps={steps}, burn_in={burn_in}")
@@ -248,21 +264,31 @@ def simulate(sys: LQRSystem, controller, steps: int, burn_in: int = 1000, seed: 
     batches, length = _batch_layout(n)
     batch_sums = np.zeros(batches)
     total = 0.0
+    # The right-hand operands of the block products, F', the L_k' and B', are
+    # copied once into contiguous arrays: on a transposed view OpenBLAS takes
+    # a slower path for these skinny products, 1.5-2x slower in timeit
+    # (minimum of 2000, n_x 10, n_u 2: a 2048-row block @ L_k' 15 -> 7.5 us,
+    # @ F' 22-23 -> 14-15 us, u @ B' 14 -> 9 us).
+    F_T = np.ascontiguousarray(F.T)
+    if gain is None:
+        blocks_T = np.ascontiguousarray(controller.blocks.transpose(0, 2, 1))  # (H, n_x, n_u)
+        B_T = np.ascontiguousarray(B.T)
+    gen = _stream(seed, 0, n_x)
     with np.errstate(over="ignore", invalid="ignore"):
-        powers_T = [F.T]  # (F^k)' for k = 1, 2, 4, ... < _BLOCK
+        powers_T = [F_T]  # (F^k)' for k = 1, 2, 4, ... < _BLOCK
         while 1 << len(powers_T) < _BLOCK:
             powers_T.append(powers_T[-1] @ powers_T[-1])
         for t0 in range(0, steps, _BLOCK):
             m = min(_BLOCK, steps - t0)
-            w = _noise(seed, t0, m, n_x)
+            w = _draw(gen, m, n_x)
             if gain is None:
                 padded = np.vstack((hist, w))
-                u = sum(padded[H - k : H - k + m] @ L.T for k, L in enumerate(controller.blocks, start=1))
+                u = sum(padded[H - k : H - k + m] @ L_T for k, L_T in enumerate(blocks_T, start=1))
                 hist = padded[m:]
-                d = u @ B.T + w
+                d = u @ B_T + w
             else:
                 d = w
-            xs = _states(x, d, powers_T)
+            xs = _states(x, d, F, powers_T)
             if not np.abs(xs[1:]).max() <= OVERFLOW_LIMIT:  # NaN fails this too
                 bad = ~np.all(np.abs(xs[1:]) <= OVERFLOW_LIMIT, axis=1)
                 t = t0 + int(np.argmax(bad))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.random import default_rng
 
 import drclqr as d
-from drclqr.cost import _BLOCK, COST_METHODS, _batch_layout, _noise, _states, disturbance
+from drclqr.cost import _BLOCK, COST_METHODS, _batch_layout, _draw, _states, _stream, disturbance
 from conftest import DEMO_PATH
 from oracles import (
     box_muller_noise,
@@ -113,23 +113,28 @@ class TestDisturbance:
     @pytest.mark.parametrize("n", [5, 6])
     def test_rows_of_the_block_stream_across_a_block_boundary(self, n):
         steps = 2 * _BLOCK + 5
-        stream = np.vstack([_noise(7, t0, min(_BLOCK, steps - t0), n) for t0 in range(0, steps, _BLOCK)])
+        stream = np.vstack([_draw(_stream(7, t0, n), min(_BLOCK, steps - t0), n) for t0 in range(0, steps, _BLOCK)])
         for t in (0, _BLOCK - 1, _BLOCK, _BLOCK + 1, steps - 1):
             assert np.array_equal(stream[t], disturbance(7, t, n))
+        # a rollout keys one generator and draws its blocks in turn: each row
+        # ends on a whole Philox counter step, so block sizes cannot shift it
+        gen = _stream(7, 0, n)
+        uneven = np.vstack([_draw(gen, m, n) for m in (7, _BLOCK, 13)])
+        assert not [t for t in range(len(uneven)) if not np.array_equal(uneven[t], disturbance(7, t, n))]
 
     @pytest.mark.parametrize("n", [1, 2, 5, 6, 10, 40])
     def test_matches_the_cos_sin_oracle_to_a_few_ulps_of_the_radius(self, n):
         eps = np.finfo(float).eps
         for seed in (0, 11, 2**100 + 7):
             for t0 in (0, 2 * _BLOCK - 3):
-                w = _noise(seed, t0, _BLOCK, n)
+                w = _draw(_stream(seed, t0, n), _BLOCK, n)
                 # an odd n shares its layout with n + 1, whose last pair gives the radius
                 ref = box_muller_noise(seed, t0, _BLOCK, n + n % 2)
                 r = np.repeat(np.hypot(ref[:, 0::2], ref[:, 1::2]), 2, axis=1)[:, :n]
                 assert np.all(np.abs(w - ref[:, :n]) <= 4.0 * eps * r)
 
     def test_standard_normal_law(self):
-        w = _noise(20261018, 0, 2**14, 8)  # 2**17 draws, 2**16 Box-Muller pairs
+        w = _draw(_stream(20261018, 0, 8), 2**14, 8)  # 2**17 draws, 2**16 Box-Muller pairs
         x = np.sort(w.ravel())
         N = x.size
         cdf = 0.5 * (1.0 + np.array([math.erf(v / math.sqrt(2.0)) for v in x]))
@@ -194,6 +199,23 @@ class TestSimulate:
         for controller, exact in ((K, d.cost_of_gain(sys_, K)), (policy, d.cost_of_drc(sys_, G, policy))):
             rep = d.simulate(sys_, controller, steps=20_000, burn_in=1000, seed=seed)
             assert abs(rep.value - exact.value) <= 5.0 * rep.std_error
+
+    def test_a_rollout_keys_one_generator(self, monkeypatch):
+        # a Philox construction also seeds from os.urandom before the key
+        # overrides it; ten 2048-step blocks must not build ten of them
+        real, built = np.random.Philox, []
+
+        def counting(*args, **kwargs):
+            built.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        rng = default_rng(9301)
+        sys_ = system_with_dynamics(rng, scaled_orthogonal(rng, 10, 0.9), 2)
+        for controller in (d.solve_dare(sys_).K, drc_of_order(sys_, 10)):
+            built.clear()
+            d.simulate(sys_, controller, steps=20_000, burn_in=1000, seed=5)
+            assert len(built) == 1
 
     @pytest.mark.parametrize(
         "sys_, H",
@@ -375,7 +397,7 @@ def test_states_match_a_per_step_loop(seed, n, radius, m):
     for row in forcing:
         ref.append(F @ ref[-1] + row)
     ref = np.array(ref)
-    xs = _states(x0, forcing, powers_T)
+    xs = _states(x0, forcing, F, powers_T)
     assert xs.shape == (m + 1, n)
     assert np.max(np.abs(xs - ref)) <= 1e-10 * np.max(np.abs(ref))
 

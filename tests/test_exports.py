@@ -262,3 +262,24 @@ def test_cholesky_receives_exactly_symmetric_matrices(cholesky_inputs):
     run_sweep(d.transform(unstable, K0).transformed, 10)
     assert {what for what, _ in cholesky_inputs} == {"R", "R + B'PB", "assembled M", "joint weight block"}
     assert not [what for what, M in cholesky_inputs if not np.array_equal(M, M.T)]
+
+
+def _transposed_product_operands(func):
+    """(loops, line numbers) of the ``for`` loops in ``func`` and of every ``@`` in them with an operand ``<x>.T``."""
+    loops = [node for node in ast.walk(func) if isinstance(node, ast.For)]
+    lines = [
+        node.lineno
+        for loop in loops
+        for node in ast.walk(loop)
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.MatMult)
+        and any(isinstance(o, ast.Attribute) and o.attr == "T" for o in (node.left, node.right))
+    ]
+    return loops, lines
+
+
+def test_the_rollout_block_loop_multiplies_no_transposed_view():
+    # OpenBLAS runs the block loop's skinny products 1.5-2x slower on a
+    # transposed view: simulate copies F', the L_k' and B' once, before it
+    loops, lines = _transposed_product_operands(ast.parse(inspect.getsource(d.cost.simulate)))
+    assert loops and lines == []
