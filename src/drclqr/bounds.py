@@ -74,9 +74,9 @@ class BoundInputs:
 
     def __post_init__(self):
         for name in ("normB", "normQ", "normS", "normR", "normK"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # written so that NaN fails too
                 raise ValueError(f"{name} must be >= 0")
-        if self.lam <= 0:
+        if not self.lam > 0:
             raise NotPositiveDefinite(
                 f"lambda_min(R - S Q^{{-1}} S') = {self.lam:.6g} <= 0", lambda_min=self.lam
             )

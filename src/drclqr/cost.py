@@ -234,10 +234,9 @@ def simulate(sys: LQRSystem, controller, steps: int, burn_in: int = 1000, seed: 
     on ``seed``: the DRC input as an FIR filter over the block's noise, the
     state by a doubling scan (see ``_states``).
     """
+    steps, burn_in = int(steps), int(burn_in)
     if burn_in < 0 or steps <= burn_in:
         raise ValueError(f"need steps > burn_in >= 0, got steps={steps}, burn_in={burn_in}")
-    steps = int(steps)
-    burn_in = int(burn_in)
     n_x, n_u = sys.n_x, sys.n_u
     A, B = sys.A, sys.B
 

@@ -70,8 +70,8 @@ class DRCPolicy:
 
     ``blocks`` is given as any iterable of equally shaped blocks and held as
     one read-only (H, n_u, n_x) array; a scalar block reads as 1 x 1 and a
-    1-D block as 1 x n_x, as :func:`numpy.atleast_2d` reads them.  Ragged or
-    empty input raises :class:`InvalidHorizon`.
+    1-D block as 1 x n_x, as :func:`numpy.atleast_2d` reads them.  Ragged,
+    empty or higher-dimensional input raises :class:`InvalidHorizon`.
     """
 
     blocks: np.ndarray
@@ -85,6 +85,8 @@ class DRCPolicy:
             raise InvalidHorizon("a DRC policy needs at least one block")
         if blocks.ndim < 3:  # scalar or 1-D blocks
             blocks = blocks.reshape(len(blocks), 1, -1)
+        if blocks.ndim != 3:
+            raise InvalidHorizon(f"DRC blocks must be matrices, got blocks of shape {blocks.shape[1:]}")
         blocks.setflags(write=False)
         object.__setattr__(self, "blocks", blocks)
 

@@ -30,8 +30,8 @@ so the envelope holds for every power, not only the ones scanned.
 
 A scan that finds no such m within 10 000 powers (Jordan blocks and other
 near-defective matrices, whose transient outlasts the 1% rate slack), or whose
-powers sink into the floating-point underflow range first, falls back to the
-strong-stability certificate of Cohen et al. (2018): with
+powers overflow or sink into the floating-point underflow range first, falls
+back to the strong-stability certificate of Cohen et al. (2018): with
 gamma = r + (1 - r)/2, r the spectral radius, P solves
 (M/gamma)' P (M/gamma) + I = P, and
 
@@ -282,9 +282,9 @@ class StabilityCertificate:
     method: str = "scan"
 
     def __post_init__(self):
-        if self.tau < 1.0:
+        if not self.tau >= 1.0:  # written so that NaN fails too
             raise ValueError(f"tau must be >= 1, got {self.tau}")
-        if self.rho <= 0.0:
+        if not self.rho > 0.0:
             raise ValueError(f"rho must be > 0, got {self.rho}")
         if self.method not in CERTIFICATE_METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {CERTIFICATE_METHODS}")
@@ -297,36 +297,27 @@ class StabilityCertificate:
 def _scan_norms(M: np.ndarray, rho: float):
     """||M^k|| for k < m, m the first power >= 1 with ||M^m|| e^{rho m} <= 1.
 
-    Returns None when there is no such m <= _SCAN_CAP, or when every entry of
-    a power sinks below _SCAN_UNDERFLOW first (an exactly zero power still
-    certifies: the matrix is nilpotent).  The largest entry of a power bounds
-    its norm from below, so a batch of powers needs singular values only once
-    one of them might certify; the batches skipped that way are formed again
-    from their stored start once m is known.
+    Each batch of powers is formed once and its norms taken at once.  Returns
+    None when there is no such m <= _SCAN_CAP, when every entry of a power
+    sinks below _SCAN_UNDERFLOW first (an exactly zero power still certifies:
+    the matrix is nilpotent), or when a power overflows to a non-finite entry,
+    since no power past it can certify.
     """
     power = np.eye(M.shape[0])
-    k, batch, batches = 0, 1, []
+    k, batch, scanned = 0, 1, [np.ones(1)]
     while k < _SCAN_CAP:
         batch = min(batch, _SCAN_CAP - k)
-        block = row_powers(power @ M, M, batch)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
+            block = row_powers(power @ M, M, batch)
         top = np.abs(block).max(axis=(1, 2))
-        envelope = np.exp(-rho * np.arange(k + 1, k + batch + 1))
+        if not np.all(np.isfinite(top)):
+            return None
+        scanned.append(spectral_norm(block))
         sunk = (top > 0.0) & (top < _SCAN_UNDERFLOW)
-        norms, closed = None, np.zeros(batch, dtype=bool)
-        if np.any(top <= envelope):
-            norms = spectral_norm(block)
-            closed = norms <= envelope
-        batches.append((power, batch, norms))
-        if np.any(sunk | closed):
-            i = int(np.argmax(sunk | closed))
-            if sunk[i]:
-                return None
-            scanned = [np.ones(1)]
-            for start, count, norms in batches:
-                if norms is None:
-                    norms = spectral_norm(row_powers(start @ M, M, count))
-                scanned.append(norms)
-            return np.concatenate(scanned)[: k + i + 1]
+        stop = sunk | (scanned[-1] <= np.exp(-rho * np.arange(k + 1, k + batch + 1)))
+        if np.any(stop):
+            i = int(np.argmax(stop))
+            return None if sunk[i] else np.concatenate(scanned)[: k + i + 1]
         power = block[-1]
         k += batch
         batch = min(2 * batch, _SCAN_BATCH_MAX)

@@ -31,6 +31,17 @@ class TestBoundInputs:
         with pytest.raises(ValueError):
             unit_inputs(n_x=0)
 
+    @pytest.mark.parametrize(
+        "name, error",
+        [(name, ValueError) for name in ("normB", "normQ", "normS", "normR", "normK")]
+        + [("lam", d.NotPositiveDefinite)],
+    )
+    def test_nan_rejected(self, name, error):
+        # a NaN fails every comparison, so it must fail the range checks too
+        # rather than come out of the bounds as a "certified" nan
+        with pytest.raises(error):
+            unit_inputs(**{name: float("nan")})
+
 
 class TestSchurLambdaMin:
     def test_no_cross_term_reduces_to_r(self, demo_system):

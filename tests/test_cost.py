@@ -318,6 +318,11 @@ class TestSimulate:
         with pytest.raises(d.Unstable):
             d.simulate(scalar_system(a=1.5), [[0.0]], steps=100, burn_in=0)
 
+    def test_window_is_checked_after_truncation(self):
+        # 1000.5 > 1000, but int() leaves an empty window of 0 costs
+        with pytest.raises(ValueError, match="need steps > burn_in"):
+            d.simulate(scalar_system(), [[0.0]], steps=1000.5, burn_in=1000)
+
     def test_divergent_drc_raises_nonfinite_with_step(self):
         sys_ = scalar_system(a=2.0)
         policy = d.DRCPolicy(blocks=(np.zeros((1, 1)),))

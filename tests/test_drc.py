@@ -241,6 +241,11 @@ class TestDRCPolicy:
         with pytest.raises(d.InvalidHorizon):
             d.DRCPolicy(blocks=())
 
+    def test_blocks_that_are_not_matrices_rejected(self):
+        # (2, 1, 3, 4) is no stack of matrices: it must not be read as (H, n_u, n_x) = (2, 1, 3)
+        with pytest.raises(d.InvalidHorizon):
+            d.DRCPolicy(blocks=np.zeros((2, 1, 3, 4)))
+
     def test_ragged_unstack_rejected(self):
         with pytest.raises(d.InvalidHorizon):
             d.DRCPolicy.from_stacked(np.zeros((5, 2)), 2)

@@ -6,6 +6,7 @@ from numpy.random import default_rng
 
 import drclqr as d
 from conftest import SYSTEMS_DIR
+from drclqr import model
 from drclqr.cli import load_system_file, run_sweep
 from oracles import assert_envelope, power_growth_radius, random_system, scan_certificate
 
@@ -124,6 +125,17 @@ class TestSpectralNorm:
             assert value == float(np.linalg.norm(np.atleast_2d(X), 2))
 
 
+class TestStabilityCertificate:
+    @pytest.mark.parametrize(
+        "tau, rho",
+        [(0.5, 1.0), (1.0, 0.0), (np.nan, 1.0), (1.0, np.nan), (np.nan, np.nan)],
+        ids=["tau-below-one", "rho-zero", "tau-nan", "rho-nan", "both-nan"],
+    )
+    def test_out_of_range_or_nan_rejected(self, tau, rho):
+        with pytest.raises(ValueError):
+            d.StabilityCertificate(tau=tau, rho=rho, k_max=1)
+
+
 class TestEstimateCertificate:
     def test_scalar_half(self):
         cert = d.estimate_certificate([[0.5]])
@@ -177,6 +189,28 @@ class TestEstimateCertificate:
             assert_envelope(cert, J)
             assert cert.method == "lyapunov"
             assert np.isfinite(cert.tau)
+
+    def test_scan_forms_each_power_once(self, monkeypatch):
+        # k_max 565 lies in the batch of powers 512..767 (batches of 1, 2, 4,
+        # ..., 256), so the scan forms 767 powers and no power twice
+        formed, row_powers = [], model.row_powers
+
+        def counting_row_powers(R, A, H):
+            formed.append(H)
+            return row_powers(R, A, H)
+
+        monkeypatch.setattr(model, "row_powers", counting_row_powers)
+        cert = d.estimate_certificate([[0.5, 10.0], [0.0, 0.3]])
+        assert cert.method == "scan" and cert.k_max == 565
+        assert sum(formed) == 767
+
+    def test_overflowing_powers_take_the_fallback(self):
+        # stable (spectral radius 0.5), but the second power overflows: the scan
+        # must stop there, without numpy's overflow warning, and not hand a
+        # non-finite batch to the SVD, which would raise numpy's LinAlgError
+        M = 0.5 * np.eye(3) + 1e200 * np.eye(3, k=1)
+        with pytest.raises(d.NoConvergence, match="power scan .* Lyapunov fallback"):
+            d.estimate_certificate(M)
 
 
     @pytest.mark.parametrize("n, lam, tau_proof", [(6, 0.99, 3.83e11), (10, 0.9, 5.53e11)])
@@ -234,12 +268,17 @@ class TestJointCertificate:
 @st.composite
 def certifiable_matrices(draw):
     """A random matrix with spectral radius up to 0.99, a 6x6 Jordan block
-    with eigenvalue 0.9 or 0.99, or an exactly nilpotent matrix."""
+    with eigenvalue 0.9 or 0.99, a 2x2 upper triangle whose large corner
+    makes its scan close late (hundreds to thousands of powers), or an
+    exactly nilpotent matrix."""
     rng = default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["random", "jordan", "nilpotent"]))
+    kind = draw(st.sampled_from(["random", "jordan", "triangle", "nilpotent"]))
     if kind == "jordan":
         lam = draw(st.sampled_from([0.9, 0.99]))
         return lam * np.eye(6) + np.eye(6, k=1)
+    if kind == "triangle":
+        a, b = draw(st.floats(0.05, 0.9)), draw(st.floats(0.05, 0.9))
+        return np.array([[a, draw(st.floats(1.0, 100.0))], [0.0, b]])
     n = draw(st.integers(1, 6))
     if kind == "nilpotent":
         # strictly upper triangular, relabelled by a permutation: powers vanish exactly
