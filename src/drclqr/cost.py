@@ -227,16 +227,22 @@ def simulate(sys: LQRSystem, controller, steps: int, burn_in: int = 1000, seed: 
     controllers must be stabilizing (the estimate is meaningless otherwise);
     a DRC on an unstable plant is allowed to run and diverge, surfacing as
     :class:`NonFinite` with the step whose update produced the first state
-    that is non-finite or exceeds ``OVERFLOW_LIMIT``.
+    that is non-finite or exceeds ``OVERFLOW_LIMIT``.  ``steps`` and
+    ``burn_in`` are truncated to integers; a window that is then empty, or an
+    infinite or NaN bound, raises ``ValueError``.
 
     A DRC uses the true realized disturbances, with w_s = 0 for s < 0.  The
     work runs in fixed blocks of steps, all drawn from one generator keyed
     on ``seed``: the DRC input as an FIR filter over the block's noise, the
     state by a doubling scan (see ``_states``).
     """
-    steps, burn_in = int(steps), int(burn_in)
+    window = f"need steps > burn_in >= 0, got steps={steps}, burn_in={burn_in}"
+    try:
+        steps, burn_in = int(steps), int(burn_in)
+    except (OverflowError, ValueError) as exc:  # an infinite or NaN window
+        raise ValueError(window) from exc
     if burn_in < 0 or steps <= burn_in:
-        raise ValueError(f"need steps > burn_in >= 0, got steps={steps}, burn_in={burn_in}")
+        raise ValueError(window)
     n_x, n_u = sys.n_x, sys.n_u
     A, B = sys.A, sys.B
 

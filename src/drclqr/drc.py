@@ -71,7 +71,8 @@ class DRCPolicy:
     ``blocks`` is given as any iterable of equally shaped blocks and held as
     one read-only (H, n_u, n_x) array; a scalar block reads as 1 x 1 and a
     1-D block as 1 x n_x, as :func:`numpy.atleast_2d` reads them.  Ragged,
-    empty or higher-dimensional input raises :class:`InvalidHorizon`.
+    empty or higher-dimensional input, and blocks with no rows or columns,
+    raise :class:`InvalidHorizon`.
     """
 
     blocks: np.ndarray
@@ -83,6 +84,8 @@ class DRCPolicy:
             raise InvalidHorizon(f"DRC blocks must share one shape: {exc}") from exc
         if not len(blocks):
             raise InvalidHorizon("a DRC policy needs at least one block")
+        if not blocks.size:
+            raise InvalidHorizon(f"DRC blocks need rows and columns, got blocks of shape {blocks.shape[1:]}")
         if blocks.ndim < 3:  # scalar or 1-D blocks
             blocks = blocks.reshape(len(blocks), 1, -1)
         if blocks.ndim != 3:

@@ -22,17 +22,27 @@ first:
     rho = min over the matrices of min(10, -0.99 * ln spectral_radius(M)),
 
 or 10 for a nilpotent matrix; the 0.99 backs rho off the asymptotic rate so
-that tau stays finite.  Then each matrix gets one power scan at that shared
+that tau stays finite.  Only the first matrix's radius is read from its
+eigenvalues as a matter of course.  A later matrix first tries Gelfand's
+formula, rho(M) <= ||M^(2^j)||_F^(2^-j), with at most 10 squarings; once that
+proves its radius below (1 - 1e-8) times the largest radius read so far, its
+term cannot be the minimum, rho is the same float, and the matrix takes no
+eigenvalue pass (the optimal closed loops of the benchmark plants and of
+``demo3x3`` are proven in three to six squarings).  Then each matrix gets one power scan at that shared
 rho, which stops at the first power m >= 1 with ||M^m|| e^{rho m} <= 1, and
 tau is the largest ||M^k|| e^{rho k} over k < m.  Writing k = q m + j with
 j < m, submultiplicativity gives ||M^k|| <= ||M^m||^q ||M^j|| <= tau e^{-rho k},
-so the envelope holds for every power, not only the ones scanned.
+so the envelope holds for every power, not only the ones scanned.  The scan
+forms its powers in batches that double in length and takes their norms in
+chunks of a quarter batch (at least 4 powers), so fewer than max(4, m/4) of
+the singular values it takes lie past m.
 
 A scan that finds no such m within 10 000 powers (Jordan blocks and other
 near-defective matrices, whose transient outlasts the 1% rate slack), or whose
 powers overflow or sink into the floating-point underflow range first, falls
 back to the strong-stability certificate of Cohen et al. (2018): with
-gamma = r + (1 - r)/2, r the spectral radius, P solves
+gamma = r + (1 - r)/2, r the spectral radius (read from the eigenvalues
+then, if the radius proof skipped them), P solves
 (M/gamma)' P (M/gamma) + I = P, and
 
     tau = sqrt(lambda_max(P)),   rho = -ln(gamma * sqrt(1 - 1/lambda_max(P))).
@@ -55,6 +65,7 @@ must be positive definite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,13 +92,21 @@ _RHO_CAP = 10.0
 _RHO_SHRINK = 0.99
 
 # Power scan: at most _SCAN_CAP powers, formed in batches that double from one
-# power up to _SCAN_BATCH_MAX, so at most half the singular values a scan
-# takes lie past its certifying power.  Once every entry of M^k is below
+# power up to _SCAN_BATCH_MAX, whose norms are taken in chunks of
+# max(4, batch // 4) powers up to the chunk that holds the certifying power m;
+# a batch is never longer than m, so fewer than max(4, m/4), and at most 63,
+# singular values a scan takes lie past m.  Once every entry of M^k is below
 # _SCAN_UNDERFLOW, entries that matter at working precision can be subnormal
 # and the scan can no longer certify anything.
 _SCAN_CAP = 10000
 _SCAN_BATCH_MAX = 256
 _SCAN_UNDERFLOW = float(np.finfo(float).tiny / np.finfo(float).eps)
+
+# Radius proof: at most _PROOF_SQUARINGS squarings to show a later matrix's
+# radius below (1 - _PROOF_MARGIN) times the largest one read so far, a gap far
+# above the round-off of the radii and of their logarithms.
+_PROOF_SQUARINGS = 10
+_PROOF_MARGIN = 1e-8
 
 # Lyapunov fallback: gamma = r + _LYAPUNOV_SLACK * (1 - r).
 _LYAPUNOV_SLACK = 0.5
@@ -312,12 +331,15 @@ def _scan_norms(M: np.ndarray, rho: float):
         top = np.abs(block).max(axis=(1, 2))
         if not np.all(np.isfinite(top)):
             return None
-        scanned.append(spectral_norm(block))
         sunk = (top > 0.0) & (top < _SCAN_UNDERFLOW)
-        stop = sunk | (scanned[-1] <= np.exp(-rho * np.arange(k + 1, k + batch + 1)))
-        if np.any(stop):
-            i = int(np.argmax(stop))
-            return None if sunk[i] else np.concatenate(scanned)[: k + i + 1]
+        limit = np.exp(-rho * np.arange(k + 1, k + batch + 1))
+        chunk = max(4, batch // 4)
+        for start in range(0, batch, chunk):
+            scanned.append(spectral_norm(block[start : start + chunk]))
+            stop = sunk[start : start + chunk] | (scanned[-1] <= limit[start : start + chunk])
+            if np.any(stop):
+                i = start + int(np.argmax(stop))
+                return None if sunk[i] else np.concatenate(scanned)[: k + i + 1]
         power = block[-1]
         k += batch
         batch = min(2 * batch, _SCAN_BATCH_MAX)
@@ -345,19 +367,65 @@ def _lyapunov_certificate(M: np.ndarray, radius: float) -> tuple[float, float]:
     return float(np.sqrt(lam)), -float(np.log(gamma * np.sqrt(1.0 - 1.0 / lam)))
 
 
+def _radius_below(M: np.ndarray, r: float) -> bool:
+    """True when Gelfand's formula proves spectral_radius(M) < r, for r > 0.
+
+    rho(M)^(2^j) <= ||M^(2^j)||_F for every j, and the root of the right side
+    tends to rho(M) as j grows.  The powers come from squaring a copy of M
+    held at unit Frobenius norm, with the scale kept as a logarithm, so
+    nothing overflows.  The proof gives up (False) after
+    ``_PROOF_SQUARINGS`` squarings, or as soon as a squared norm leaves
+    (_SCAN_UNDERFLOW, inf): a nearly nilpotent M, or one whose entries
+    square past the double range.  A matrix that is not square has no radius
+    and is left to :func:`spectral_radius` to refuse.
+    """
+    if M.shape[0] != M.shape[1]:
+        return False
+    with np.errstate(over="ignore"):  # an overflow gives up below
+        s2 = float(np.vdot(M, M))
+    if not _SCAN_UNDERFLOW < s2 < np.inf:
+        return False
+    bound, log_r = 0.5 * math.log(s2), math.log(r)  # ln of the root of ||M^(2^j)||_F
+    P = M / math.sqrt(s2)
+    for j in range(1, _PROOF_SQUARINGS + 1):
+        if bound < log_r:
+            return True
+        P = P @ P
+        f2 = float(np.vdot(P, P))
+        if not f2 > _SCAN_UNDERFLOW:
+            return False
+        bound += math.log(f2) / 2 ** (j + 1)
+        P /= math.sqrt(f2)
+    return bound < log_r
+
+
 def _certify(matrices) -> StabilityCertificate:
-    """One certificate for every matrix in ``matrices``: shared rho, one scan each."""
+    """One certificate for every matrix in ``matrices``: shared rho, one scan each.
+
+    The first matrix's radius comes from its eigenvalues.  A later matrix that
+    :func:`_radius_below` proves below (1 - _PROOF_MARGIN) times the largest
+    radius so far cannot lower rho, so it takes no eigenvalue pass, unless it
+    needs the Lyapunov fallback, which reads its radius then.
+    """
     matrices = [np.atleast_2d(np.asarray(M, dtype=float)) for M in matrices]
-    rho, radii = _RHO_CAP, []
+    rho, r_max, radii = _RHO_CAP, 0.0, []
     for M in matrices:
+        if r_max > 0.0 and _radius_below(M, (1.0 - _PROOF_MARGIN) * r_max):
+            radii.append(None)
+            continue
         sr = spectral_radius(M)
         if sr >= 1.0:
             raise Unstable(f"spectral radius {sr:.6g} >= 1; no decay certificate exists")
         if sr > 0.0:
             rho = min(rho, -_RHO_SHRINK * float(np.log(sr)))
+        r_max = max(r_max, sr)
         radii.append(sr)
     scans = [_scan_norms(M, rho) for M in matrices]
-    fallback = [_lyapunov_certificate(M, sr) for M, sr, norms in zip(matrices, radii, scans) if norms is None]
+    fallback = [
+        _lyapunov_certificate(M, spectral_radius(M) if sr is None else sr)
+        for M, sr, norms in zip(matrices, radii, scans)
+        if norms is None
+    ]
     rho = min([rho] + [r for _, r in fallback])
     tau = max(
         [1.0]

@@ -20,6 +20,11 @@ W_k = I + G_k H_k,
     G_{k+1} = G_k + A_k W_k^{-1} G_k A_k'
     H_{k+1} = H_k + A_k' H_k W_k^{-1} A_k .
 
+Each step forms W_k^{-1} by one inversion and reads W_k^{-1} A_k and
+W_k^{-1} G_k off it as products, with A_k' copied to a contiguous array once;
+at n_x = 40 that is cheaper than one solve with the 2 n_x right-hand sides
+[A_k, G_k], and the iterates differ from that solve's by round-off only.
+
 H_k is the cost-to-go of the first 2^k steps of the folded problem, so it
 rises monotonically to P, and A_k behaves like (A + BK)^{2^k}: each step
 squares the remaining error, so the count of steps is about log2 of what a
@@ -108,14 +113,15 @@ def solve_dare(sys: LQRSystem) -> RiccatiSolution:
     G = (G + G.T) / 2.0
     H = sys.Q - sys.S.T @ R_inv_S
     H = (H + H.T) / 2.0
-    n = sys.n_x
-    eye = np.eye(n)
+    eye = np.eye(sys.n_x)
     for it in range(1, _DOUBLING_CAP + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            solved = np.linalg.solve(eye + G @ H, np.hstack((A, G)))  # W^{-1} [A, G]
-            H_next = H + A.T @ H @ solved[:, :n]
-            G = G + A @ solved[:, n:] @ A.T
-            A = A @ solved[:, :n]
+            W_inv = np.linalg.inv(eye + G @ H)
+            W_inv_A = W_inv @ A
+            A_t = np.ascontiguousarray(A.T)
+            H_next = H + A_t @ (H @ W_inv_A)
+            G = G + A @ (W_inv @ G) @ A_t
+            A = A @ W_inv_A
             H_next = (H_next + H_next.T) / 2.0
             G = (G + G.T) / 2.0
         if not (np.all(np.isfinite(H_next)) and np.all(np.isfinite(G)) and np.all(np.isfinite(A))):

@@ -9,6 +9,7 @@ into one PASS/FAIL line per criterion number.
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import drclqr as d
@@ -39,6 +40,20 @@ def demo_gramian(demo_system):
 def demo_cert(demo_system, demo_solution):
     A_cl = demo_system.A + demo_system.B @ demo_solution.K
     return d.joint_certificate(demo_system.A, A_cl)
+
+
+@pytest.fixture
+def eigvals_calls(monkeypatch):
+    """Count the package's eigenvalue passes: every np.linalg.eigvals call."""
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -321,13 +321,14 @@ def sda_iterations(sys_, tol=1e-12, max_iter=100000):
     G = (G + G.T) / 2.0
     H = sys_.Q - sys_.S.T @ R_inv_S
     H = (H + H.T) / 2.0
-    n = A.shape[0]
-    eye = np.eye(n)
+    eye = np.eye(A.shape[0])
     for it in range(1, max_iter + 1):
-        solved = np.linalg.solve(eye + G @ H, np.hstack((A, G)))
-        H_next = H + A.T @ H @ solved[:, :n]
-        G = G + A @ solved[:, n:] @ A.T
-        A = A @ solved[:, :n]
+        W_inv = np.linalg.inv(eye + G @ H)
+        W_inv_A = W_inv @ A
+        A_t = np.ascontiguousarray(A.T)
+        H_next = H + A_t @ (H @ W_inv_A)
+        G = G + A @ (W_inv @ G) @ A_t
+        A = A @ W_inv_A
         H_next = (H_next + H_next.T) / 2.0
         G = (G + G.T) / 2.0
         done = np.linalg.norm((H_next - H).ravel(), np.inf) <= tol * np.linalg.norm(H_next.ravel(), np.inf)

@@ -323,6 +323,13 @@ class TestSimulate:
         with pytest.raises(ValueError, match="need steps > burn_in"):
             d.simulate(scalar_system(), [[0.0]], steps=1000.5, burn_in=1000)
 
+    @pytest.mark.parametrize(
+        "steps, burn_in", [(float("inf"), 1000), (float("nan"), 1000), (5000, float("nan")), (5000, float("-inf"))]
+    )
+    def test_infinite_or_nan_window_is_a_value_error(self, steps, burn_in):
+        with pytest.raises(ValueError, match="need steps > burn_in"):
+            d.simulate(scalar_system(), [[0.0]], steps=steps, burn_in=burn_in)
+
     def test_divergent_drc_raises_nonfinite_with_step(self):
         sys_ = scalar_system(a=2.0)
         policy = d.DRCPolicy(blocks=(np.zeros((1, 1)),))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.random import default_rng
@@ -245,6 +247,12 @@ class TestDRCPolicy:
         # (2, 1, 3, 4) is no stack of matrices: it must not be read as (H, n_u, n_x) = (2, 1, 3)
         with pytest.raises(d.InvalidHorizon):
             d.DRCPolicy(blocks=np.zeros((2, 1, 3, 4)))
+
+    @pytest.mark.parametrize("shape", [(2, 0, 3), (2, 3, 0), (2, 0)])
+    def test_blocks_with_no_rows_or_columns_rejected(self, shape):
+        # an n_u = 0 or n_x = 0 policy fits no system, which LQRSystem refuses too
+        with pytest.raises(d.InvalidHorizon, match=re.escape(f"blocks of shape {shape[1:]}")):
+            d.DRCPolicy(blocks=np.zeros(shape))
 
     def test_ragged_unstack_rejected(self):
         with pytest.raises(d.InvalidHorizon):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 
@@ -204,6 +204,20 @@ class TestEstimateCertificate:
         assert cert.method == "scan" and cert.k_max == 565
         assert sum(formed) == 767
 
+    def test_scan_takes_norms_up_to_the_certifying_chunk(self, monkeypatch):
+        # the batch of powers 512..767 takes its norms in chunks of 64, and
+        # 512..575 holds k_max 565, so 575 powers get a singular value, not 767
+        normed, spectral_norm = [], model.spectral_norm
+
+        def counting_spectral_norm(M):
+            normed.append(len(M))
+            return spectral_norm(M)
+
+        monkeypatch.setattr(model, "spectral_norm", counting_spectral_norm)
+        cert = d.estimate_certificate([[0.5, 10.0], [0.0, 0.3]])
+        assert cert.method == "scan" and cert.k_max == 565
+        assert sum(normed) <= 575
+
     def test_overflowing_powers_take_the_fallback(self):
         # stable (spectral radius 0.5), but the second power overflows: the scan
         # must stop there, without numpy's overflow warning, and not hand a
@@ -250,6 +264,46 @@ class TestJointCertificate:
             d.joint_certificate([[0.5]], [[1.01]])
 
     @pytest.mark.parametrize(
+        "A, A_cl, tau, rho, k_max",
+        [
+            ([[0.9, 1.0], [0.0, 0.5]], [[0.5, 0.0], [2.0, 0.9]], "0x1.421827c3119a4p+2", "0x1.ab3db91598344p-4", 1547),
+            ([[0.8, 0.3], [0.0, 0.2]], [[0.5, 2.0], [0.0, 0.95]], "0x1.21ada3df14d75p+2", "0x1.9ffe22f5bfa45p-5", 2957),
+        ],
+        ids=["equal-radii", "closed-loop-slower"],
+    )
+    def test_closed_loop_not_proven_faster_takes_both_passes(self, A, A_cl, tau, rho, k_max, eigvals_calls):
+        # no radius proof can succeed, so both radii are read; pinned bit for bit
+        cert = d.joint_certificate(A, A_cl)
+        assert len(eigvals_calls) == 2
+        assert (cert.tau, cert.rho, cert.k_max, cert.method) == (float.fromhex(tau), float.fromhex(rho), k_max, "scan")
+
+    @pytest.mark.parametrize("M", [0.1 * np.ones((2, 3)), [0.1, 0.2]], ids=["2x3", "1-D"])
+    def test_matrix_that_is_not_square_refused(self, M):
+        # small enough for the radius proof's first test, which must not accept it
+        with pytest.raises(d.DimensionMismatch, match="spectral radius needs a square matrix"):
+            d.joint_certificate([[0.5]], M)
+
+    def test_unstable_closed_loop_keeps_its_refusal(self, eigvals_calls):
+        with pytest.raises(d.Unstable, match=r"^spectral radius 1\.2 >= 1; no decay certificate exists$"):
+            d.joint_certificate(0.9 * np.eye(2), [[0.5, 3.0], [0.0, 1.2]])
+        assert len(eigvals_calls) == 2
+
+    def test_proven_matrix_reads_its_radius_for_the_fallback(self, eigvals_calls):
+        # radius 9e-4 is proven below A's 1e-3, but the powers sink below the
+        # underflow floor at k = 100, before the scan closes, so M takes the
+        # Lyapunov fallback, which needs its radius after all; pinned bit for bit
+        A, M = [[1e-3]], np.array([[9e-4, 9e6], [0.0, 9e-4]])
+        assert model._radius_below(M, (1.0 - model._PROOF_MARGIN) * 1e-3)
+        cert = d.joint_certificate(A, M)
+        assert eigvals_calls == [(1, 1), (2, 2)]
+        assert (cert.tau, cert.rho, cert.k_max, cert.method) == (
+            float.fromhex("0x1.1269bae49b866p+24"),
+            float.fromhex("0x1.626e4687580b4p-1"),
+            1,
+            "lyapunov",
+        )
+
+    @pytest.mark.parametrize(
         "name, tau, rho",
         [
             ("demo3x3", "0x1.4c2db7bb5f9a9p+2", "0x1.b7ef59654720fp-5"),
@@ -289,6 +343,16 @@ def certifiable_matrices(draw):
 
 
 class TestCertificateOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(M=certifiable_matrices(), ratio=st.floats(0.5, 2.0))
+    def test_radius_proof_agrees_with_the_eigenvalues(self, M, ratio):
+        # the radius proof claims rho(M) < r only where eigvals agrees
+        radius = d.spectral_radius(M)
+        assume(radius > 0.0)  # the certificate asks for a proof below a positive radius only
+        r = ratio * radius
+        if model._radius_below(M, r):
+            assert radius < r
+
     @settings(max_examples=50, deadline=None)
     @given(A=certifiable_matrices(), A_cl=certifiable_matrices())
     def test_joint_certificate_matches_brute_force(self, A, A_cl):
