@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.random import default_rng
 
 import drclqr as d
+import drclqr.cost as cost
 from drclqr.cost import _BLOCK, COST_METHODS, _batch_layout, _draw, _states, _stream, disturbance
 from conftest import DEMO_PATH
 from oracles import (
@@ -116,11 +117,19 @@ class TestDisturbance:
         stream = np.vstack([_draw(_stream(7, t0, n), min(_BLOCK, steps - t0), n) for t0 in range(0, steps, _BLOCK)])
         for t in (0, _BLOCK - 1, _BLOCK, _BLOCK + 1, steps - 1):
             assert np.array_equal(stream[t], disturbance(7, t, n))
-        # a rollout keys one generator and draws its blocks in turn: each row
-        # ends on a whole Philox counter step, so block sizes cannot shift it
+        # a rollout seeds one generator and draws its blocks in turn: each row
+        # takes exactly 2p draws, so block sizes cannot shift it
         gen = _stream(7, 0, n)
         uneven = np.vstack([_draw(gen, m, n) for m in (7, _BLOCK, 13)])
         assert not [t for t in range(len(uneven)) if not np.array_equal(uneven[t], disturbance(7, t, n))]
+
+    @pytest.mark.parametrize("seed", [0, 2**128 - 1])
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_positions_far_into_the_stream(self, n, seed):
+        # advancing to step 10**9 + 3 and drawing rows 10**9 .. 10**9 + 7 in
+        # one block must land on the same row
+        far = _draw(_stream(seed, 10**9, n), 8, n)
+        assert np.array_equal(disturbance(seed, 10**9 + 3, n), far[3])
 
     @pytest.mark.parametrize("n", [1, 2, 5, 6, 10, 40])
     def test_matches_the_cos_sin_oracle_to_a_few_ulps_of_the_radius(self, n):
@@ -201,21 +210,90 @@ class TestSimulate:
             assert abs(rep.value - exact.value) <= 5.0 * rep.std_error
 
     def test_a_rollout_keys_one_generator(self, monkeypatch):
-        # a Philox construction also seeds from os.urandom before the key
-        # overrides it; ten 2048-step blocks must not build ten of them
-        real, built = np.random.Philox, []
+        # ten 2048-step blocks must not build ten generators: one is seeded
+        # and drawn in turn
+        real, built = np.random.PCG64, []
 
         def counting(*args, **kwargs):
             built.append(kwargs)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(np.random, "Philox", counting)
+        monkeypatch.setattr(np.random, "PCG64", counting)
         rng = default_rng(9301)
         sys_ = system_with_dynamics(rng, scaled_orthogonal(rng, 10, 0.9), 2)
         for controller in (d.solve_dare(sys_).K, drc_of_order(sys_, 10)):
             built.clear()
             d.simulate(sys_, controller, steps=20_000, burn_in=1000, seed=5)
             assert len(built) == 1
+
+    @staticmethod
+    def count_levels(monkeypatch):
+        """The list to which ``simulate`` will add how many doubling powers each block's scan gets."""
+        real, levels = cost._states, []
+
+        def counting(x0, d_, F, powers_T):
+            levels.append(len(powers_T))
+            return real(x0, d_, F, powers_T)
+
+        monkeypatch.setattr(cost, "_states", counting)
+        return levels
+
+    def test_scan_stops_where_the_powers_vanish(self, monkeypatch):
+        # F = 0.5 x orthogonal: every entry of F^64 is at most 2^-64, so the
+        # levels of F^64 .. F^1024 are skipped and F .. F^32 remain
+        rng = default_rng(31)
+        sys_ = system_with_dynamics(rng, scaled_orthogonal(rng, 4, 0.5), 1)
+        levels = self.count_levels(monkeypatch)
+        d.simulate(sys_, np.zeros((1, 4)), steps=3 * _BLOCK, burn_in=0, seed=1)
+        assert levels == [6, 6, 6]
+
+    def test_scan_keeps_every_level_of_a_slow_or_overflowing_loop(self, monkeypatch):
+        # J_6(0.99)^1024 still has entries near 1e-4; F^2 overflows to inf on
+        # a scalar 1e200 and to NaN on a 1e200-scaled rotation, and a
+        # non-finite power never counts as vanished
+        A = 0.99 * np.eye(6) + np.eye(6, k=1)
+        jordan = d.LQRSystem(A=A, B=np.ones((6, 1)), Q=np.eye(6), R=[[1.0]], S=np.zeros((1, 6)))
+        levels = self.count_levels(monkeypatch)
+        d.simulate(jordan, np.zeros((1, 6)), steps=_BLOCK + 10, burn_in=0, seed=1)
+        assert levels == [11, 11]
+        rotation = d.LQRSystem(
+            A=[[1e200, 1e200], [-1e200, 1e200]], B=[[1.0], [0.0]], Q=np.eye(2), R=[[1.0]], S=[[0.0, 0.0]]
+        )
+        for sys_ in (scalar_system(a=1e200), rotation):
+            levels.clear()
+            policy = d.DRCPolicy(blocks=(np.ones((1, sys_.n_x)),))
+            with pytest.raises(d.NonFinite):
+                d.simulate(sys_, policy, steps=_BLOCK, burn_in=0, seed=0)
+            assert levels == [11]
+
+    @pytest.mark.parametrize("H", [None, 4])
+    def test_matches_the_per_step_loop_where_the_scan_is_cut(self, monkeypatch, H):
+        # rho(A) = 0.3: the scan stops well before F^1024, and the burn-in
+        # ends inside the second block
+        rng = default_rng(37)
+        sys_ = system_with_dynamics(rng, scaled_orthogonal(rng, 5, 0.3), 2)
+        controller = d.solve_dare(sys_).K if H is None else drc_of_order(sys_, H)
+        levels = self.count_levels(monkeypatch)
+        rep = d.simulate(sys_, controller, steps=2 * _BLOCK + 300, burn_in=_BLOCK + 100, seed=6)
+        assert max(levels) < 11
+        ref = loop_simulate(sys_, controller, steps=2 * _BLOCK + 300, burn_in=_BLOCK + 100, seed=6)
+        assert rep.value == pytest.approx(ref.value, rel=1e-10)
+        assert rep.std_error == pytest.approx(ref.std_error, rel=1e-10)
+
+    def test_the_cut_leaves_benchmark_scale_rollouts_bit_identical(self, monkeypatch):
+        # the workload-sized plant of the unbiasedness test, where the cut
+        # skips the last levels of both the gain's and the DRC's scan
+        rng = default_rng(9301)
+        sys_ = system_with_dynamics(rng, scaled_orthogonal(rng, 10, 0.9), 2)
+        levels = self.count_levels(monkeypatch)
+        for controller in (d.solve_dare(sys_).K, drc_of_order(sys_, 10)):
+            levels.clear()
+            cut = d.simulate(sys_, controller, steps=20_000, burn_in=1000, seed=2)
+            assert max(levels) < 11
+            with monkeypatch.context() as never_vanish:
+                never_vanish.setattr(cost, "_VANISHED", -1.0)
+                full = d.simulate(sys_, controller, steps=20_000, burn_in=1000, seed=2)
+            assert (cut.value, cut.std_error) == (full.value, full.std_error)
 
     @pytest.mark.parametrize(
         "sys_, H",
