@@ -356,8 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--h", type=_ranged(1), metavar="H", help="simulate the optimal H-order controller")
     sp.add_argument("--steps", type=int, default=200000, help="rollout length (default 200000)")
     sp.add_argument("--burn-in", type=_ranged(0), default=1000, help="discarded prefix (default 1000)")
-    # seeds stay in [0, 2**128), the range of the earlier Philox stream, so no
-    # command line changes meaning; PCG64 would take any non-negative integer
+    # the seed keys numpy's Philox generator, whose keys lie below 2**128
     sp.add_argument("--seed", type=_ranged(0, 2**128), default=0, help="noise seed (default 0)")
 
     sp = sub.add_parser("witness", help="covariance lower bound on the hard plant (no system file)")

@@ -17,25 +17,25 @@ stability assumption and is the primary tool of the instability witness in
 the bounds module.
 
 Noise is unit covariance throughout; every identity here is stated for that
-normalization.  The Monte-Carlo stream is addressed by step: the disturbance
-at step t is a pure function of (seed, t), so rollouts are reproducible and
+normalization.  The Monte-Carlo stream is counter-based: the disturbance at
+step t is a pure function of (seed, t), so rollouts are reproducible and
 order-independent by construction.  Its layout: with p = ceil(n/2)
-Box-Muller pairs, step t reads draws 2pt .. 2pt+2p-1 of the PCG64 stream
-seeded with the seed (one uint64 per uniform double) and uses the first p
-for the radii and the next p for the angles.  Pair j is
-r_j (cos 2 pi u_j, sin 2 pi u_j) (Box and Muller, 1958), evaluated from the
-half-angle tangent t = tan(pi u_j) as r_j ((1 - t^2), 2t) / (1 + t^2):
-numpy's float64 ``tan`` is a vectorized kernel where its ``cos`` and ``sin``
-may be scalar library calls, and the result is within a few ulps of r_j of
-the cosine and sine route.  numpy picks its float64 ``tan`` and ``log``
-kernels by CPU type, so the stream's last bits can differ between CPU types;
-on one machine they are deterministic.  A rollout seeds one generator and
-draws its noise from it in blocks of steps: every row takes exactly 2p
-draws, so the blocks read the same rows as one generator per step would;
-:func:`disturbance` advances a generator to step t instead.  Each block's
-states come from a log-depth doubling scan rather than a step-by-step loop.
-(Earlier layouts keyed one generator on (seed, t) per step, and then read a
-Philox stream padded to whole four-word counter steps, so the same seed gave
+Box-Muller pairs and s = ceil(2p/4), step t reads the Philox stream keyed on
+the seed at counter increments t*s+1 .. t*s+s (four uint64 each, one
+uniform double per uint64) and uses the first 2p doubles, p for the radii
+and p for the angles.  Pair j is r_j (cos 2 pi u_j, sin 2 pi u_j) (Box and
+Muller, 1958), evaluated from the half-angle tangent t = tan(pi u_j) as
+r_j ((1 - t^2), 2t) / (1 + t^2): numpy's float64 ``tan`` is a vectorized
+kernel where its ``cos`` and ``sin`` may be scalar library calls, and the
+result is within a few ulps of r_j of the cosine and sine route.  numpy
+picks its float64 ``tan`` and ``log`` kernels by CPU type, so the stream's
+last bits can differ between CPU types; on one machine they are
+deterministic.  A rollout keys one generator and draws its noise from it
+in blocks of steps: every row ends on a whole counter step, so the blocks
+read the same rows as one generator per step would; :func:`disturbance`
+positions a generator at step t instead.  Each block's states come from a
+log-depth doubling scan rather than a step-by-step loop.  (An earlier
+layout keyed one generator on (seed, t) per step, so the same seed gave
 different numbers before.)
 
 The Monte-Carlo ``std_error`` is a batch-means estimate: floor(sqrt(n))
@@ -128,7 +128,7 @@ def cost_of_drc(sys: LQRSystem, G, policy: DRCPolicy) -> CostReport:
 
 
 # ---------------------------------------------------------------------------
-# Seeded step-addressed noise and the blocked rollout
+# Seeded counter-based noise and the blocked rollout
 # ---------------------------------------------------------------------------
 
 # The rollout runs in blocks of _BLOCK steps, so its working memory does not
@@ -145,23 +145,24 @@ _VANISHED = 2.0**-60
 def _stream(seed: int, t0: int, n: int) -> np.random.Generator:
     """The generator whose next draw is the disturbance of step t0.
 
-    By the layout in the module docstring step t starts at draw 2pt of the
-    PCG64 stream, so positioning is one construction and one ``advance``.
+    By the counter layout in the module docstring step t starts after
+    counter increment t*s, so positioning is one construction.
     """
-    bits = np.random.PCG64(seed)
-    bits.advance(t0 * 2 * ((n + 1) // 2))
-    return np.random.Generator(bits)
+    pairs = (n + 1) // 2
+    s = (2 * pairs + 3) // 4
+    return np.random.Generator(np.random.Philox(key=seed, counter=t0 * s))
 
 
 def _draw(gen: np.random.Generator, m: int, n: int) -> np.ndarray:
     """The next m disturbances of ``gen``'s stream as the rows of an (m, n) array.
 
-    Each row takes exactly 2p uniform doubles, one PCG64 draw each, so after
-    m rows the generator stands at the start of the next step's row: a row
-    depends only on (seed, t), not on the blocks it was drawn in.
+    Each row takes 4s doubles, a whole number of Philox counter steps, so
+    after m rows the generator stands at the start of the next step's row:
+    a row depends only on (seed, t), not on the blocks it was drawn in.
     """
     pairs = (n + 1) // 2
-    u = gen.random((m, 2 * pairs))
+    s = (2 * pairs + 3) // 4
+    u = gen.random((m, 4 * s))
     r = np.sqrt(-2.0 * np.log(1.0 - u[:, :pairs]))  # 1 - u lies in (0, 1]: finite log
     t = np.tan(np.pi * u[:, pairs : 2 * pairs])  # half-angle tangent; |t| < 2e16, so t*t is finite
     t2 = t * t
@@ -176,7 +177,7 @@ def disturbance(seed: int, t: int, n: int) -> np.ndarray:
     """The standard-normal disturbance vector for step t of a rollout.
 
     Row t of the stream :func:`simulate` draws in blocks (see the module
-    docstring for the layout), from a generator advanced to step t.
+    docstring for the counter layout), from a generator positioned at step t.
     Pure function of its arguments: two calls with the same (seed, t, n)
     return identical vectors regardless of call order.
     """
@@ -238,11 +239,11 @@ def simulate(sys: LQRSystem, controller, steps: int, burn_in: int = 1000, seed: 
     infinite or NaN bound, raises ``ValueError``.
 
     A DRC uses the true realized disturbances, with w_s = 0 for s < 0.  The
-    work runs in fixed blocks of steps, all drawn from one PCG64 generator
-    seeded with ``seed``: the DRC input as an FIR filter over the block's
-    noise, the state by a doubling scan (see ``_states``) over the powers
-    F, F^2, F^4, ... that have not vanished (every entry at most 2^-60; a
-    non-finite power never has).
+    work runs in fixed blocks of steps, all drawn from one generator keyed
+    on ``seed``: the DRC input as an FIR filter over the block's noise, the
+    state by a doubling scan (see ``_states``) over the powers F, F^2, F^4,
+    ... that have not vanished (every entry at most 2^-60; a non-finite
+    power never has).
     """
     window = f"need steps > burn_in >= 0, got steps={steps}, burn_in={burn_in}"
     try:

@@ -447,15 +447,15 @@ def random_unstable_system(rng, n=3, m=1, sr=1.3, margin=0.1):
 def box_muller_noise(seed: int, t0: int, m: int, n: int) -> np.ndarray:
     """Disturbances of steps t0 .. t0+m-1, shape (m, n), by textbook Box-Muller.
 
-    Reads the PCG64 uniforms of the layout in the ``cost`` module docstring
-    itself: the stream advanced by t0 * 2p draws, then 2p doubles per step,
-    radii from the first p and angles from the next p.  Pair j is
-    (r_j cos(2 pi u_j), r_j sin(2 pi u_j)), with numpy's ``cos`` and ``sin``.
+    Reads the Philox uniforms of the counter layout in the ``cost`` module
+    docstring itself: step t takes the four doubles of each counter increment
+    t*s+1 .. t*s+s, radii from the first p and angles from the next p.  Pair j
+    is (r_j cos(2 pi u_j), r_j sin(2 pi u_j)), with numpy's ``cos`` and ``sin``.
     """
     p = -(-n // 2)
-    bits = np.random.PCG64(seed)
-    bits.advance(t0 * 2 * p)
-    u = np.random.Generator(bits).random(m * 2 * p).reshape(m, 2 * p)
+    s = -(-p // 2)  # four doubles per increment cover the 2p a step needs
+    gen = np.random.Generator(np.random.Philox(key=seed, counter=t0 * s))
+    u = gen.random(m * 4 * s).reshape(m, s * 4)
     radius = np.sqrt(-2.0 * np.log1p(-u[:, :p]))
     theta = 2.0 * np.pi * u[:, p : 2 * p]
     pairs = np.stack((radius * np.cos(theta), radius * np.sin(theta)), axis=-1)

@@ -117,8 +117,8 @@ class TestDisturbance:
         stream = np.vstack([_draw(_stream(7, t0, n), min(_BLOCK, steps - t0), n) for t0 in range(0, steps, _BLOCK)])
         for t in (0, _BLOCK - 1, _BLOCK, _BLOCK + 1, steps - 1):
             assert np.array_equal(stream[t], disturbance(7, t, n))
-        # a rollout seeds one generator and draws its blocks in turn: each row
-        # takes exactly 2p draws, so block sizes cannot shift it
+        # a rollout keys one generator and draws its blocks in turn: each row
+        # ends on a whole Philox counter step, so block sizes cannot shift it
         gen = _stream(7, 0, n)
         uneven = np.vstack([_draw(gen, m, n) for m in (7, _BLOCK, 13)])
         assert not [t for t in range(len(uneven)) if not np.array_equal(uneven[t], disturbance(7, t, n))]
@@ -126,7 +126,7 @@ class TestDisturbance:
     @pytest.mark.parametrize("seed", [0, 2**128 - 1])
     @pytest.mark.parametrize("n", [5, 6])
     def test_positions_far_into_the_stream(self, n, seed):
-        # advancing to step 10**9 + 3 and drawing rows 10**9 .. 10**9 + 7 in
+        # positioning at step 10**9 + 3 and drawing rows 10**9 .. 10**9 + 7 in
         # one block must land on the same row
         far = _draw(_stream(seed, 10**9, n), 8, n)
         assert np.array_equal(disturbance(seed, 10**9 + 3, n), far[3])
@@ -162,6 +162,12 @@ def two_state_system():
     )
 
 
+def fast_system():
+    # rho(A) = 0.3: the doubling scan stops well before F^1024
+    rng = default_rng(37)
+    return system_with_dynamics(rng, scaled_orthogonal(rng, 5, 0.3), 2)
+
+
 def drc_of_order(sys_, H):
     return d.solve_drc(d.assemble(sys_, d.gramian(sys_.A, sys_.Q), H))
 
@@ -184,6 +190,10 @@ class TestSimulate:
             (two_state_system, None, 193, 191),
             # a final block of one step, on which the scan runs no level
             (two_state_system, 3, _BLOCK + 1, 10),
+            # a scan cut where F's powers vanish, for a gain and a DRC, with
+            # the burn-in ending inside the second block
+            (fast_system, None, 2 * _BLOCK + 300, _BLOCK + 100),
+            (fast_system, 4, 2 * _BLOCK + 300, _BLOCK + 100),
         ],
     )
     def test_matches_the_per_step_loop(self, system, H, steps, burn_in):
@@ -210,15 +220,15 @@ class TestSimulate:
             assert abs(rep.value - exact.value) <= 5.0 * rep.std_error
 
     def test_a_rollout_keys_one_generator(self, monkeypatch):
-        # ten 2048-step blocks must not build ten generators: one is seeded
-        # and drawn in turn
-        real, built = np.random.PCG64, []
+        # a Philox construction also seeds from os.urandom before the key
+        # overrides it; ten 2048-step blocks must not build ten of them
+        real, built = np.random.Philox, []
 
         def counting(*args, **kwargs):
             built.append(kwargs)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(np.random, "PCG64", counting)
+        monkeypatch.setattr(np.random, "Philox", counting)
         rng = default_rng(9301)
         sys_ = system_with_dynamics(rng, scaled_orthogonal(rng, 10, 0.9), 2)
         for controller in (d.solve_dare(sys_).K, drc_of_order(sys_, 10)):
@@ -265,20 +275,6 @@ class TestSimulate:
             with pytest.raises(d.NonFinite):
                 d.simulate(sys_, policy, steps=_BLOCK, burn_in=0, seed=0)
             assert levels == [11]
-
-    @pytest.mark.parametrize("H", [None, 4])
-    def test_matches_the_per_step_loop_where_the_scan_is_cut(self, monkeypatch, H):
-        # rho(A) = 0.3: the scan stops well before F^1024, and the burn-in
-        # ends inside the second block
-        rng = default_rng(37)
-        sys_ = system_with_dynamics(rng, scaled_orthogonal(rng, 5, 0.3), 2)
-        controller = d.solve_dare(sys_).K if H is None else drc_of_order(sys_, H)
-        levels = self.count_levels(monkeypatch)
-        rep = d.simulate(sys_, controller, steps=2 * _BLOCK + 300, burn_in=_BLOCK + 100, seed=6)
-        assert max(levels) < 11
-        ref = loop_simulate(sys_, controller, steps=2 * _BLOCK + 300, burn_in=_BLOCK + 100, seed=6)
-        assert rep.value == pytest.approx(ref.value, rel=1e-10)
-        assert rep.std_error == pytest.approx(ref.std_error, rel=1e-10)
 
     def test_the_cut_leaves_benchmark_scale_rollouts_bit_identical(self, monkeypatch):
         # the workload-sized plant of the unbiasedness test, where the cut
