@@ -24,15 +24,16 @@ first:
 or 10 for a nilpotent matrix; the 0.99 backs rho off the asymptotic rate so
 that tau stays finite.  Only the first matrix's radius is read from its
 eigenvalues as a matter of course.  A later matrix first tries Gelfand's
-formula, rho(M) <= ||M^(2^j)||_F^(2^-j), with at most 10 squarings; once that
-proves its radius below (1 - 1e-8) times the largest radius read so far, its
-term cannot be the minimum, rho is the same float, and the matrix takes no
-eigenvalue pass (the optimal closed loops of the benchmark plants and of
-``demo3x3`` are proven in three to six squarings).  Then each matrix gets one power scan at that shared
-rho, which stops at the first power m >= 1 with ||M^m|| e^{rho m} <= 1, and
-tau is the largest ||M^k|| e^{rho k} over k < m.  Writing k = q m + j with
-j < m, submultiplicativity gives ||M^k|| <= ||M^m||^q ||M^j|| <= tau e^{-rho k},
-so the envelope holds for every power, not only the ones scanned.  The scan
+formula, rho(M) <= ||M^(2^j)||_F^(2^-j), squaring M itself at most 10 times;
+once that proves its radius below (1 - 1e-8) times the largest radius read so
+far, its term cannot be the minimum, rho is the same float, and the matrix
+takes no eigenvalue pass (the optimal closed loops of the benchmark plants and
+of ``demo3x3`` are proven in three to seven squarings).  Then each matrix gets
+one power scan at that shared rho, which stops at the first power m >= 1 with
+||M^m|| e^{rho m} <= 1, and tau is the largest ||M^k|| e^{rho k} over k < m.
+Writing k = q m + j with j < m, submultiplicativity gives
+||M^k|| <= ||M^m||^q ||M^j|| <= tau e^{-rho k}, so the envelope holds for
+every power, not only the ones scanned.  The scan
 forms its powers in batches that double in length and takes their norms in
 chunks of a quarter batch (at least 4 powers), so fewer than max(4, m/4) of
 the singular values it takes lie past m.
@@ -41,8 +42,8 @@ A scan that finds no such m within 10 000 powers (Jordan blocks and other
 near-defective matrices, whose transient outlasts the 1% rate slack), or whose
 powers overflow or sink into the floating-point underflow range first, falls
 back to the strong-stability certificate of Cohen et al. (2018): with
-gamma = r + (1 - r)/2, r the spectral radius (read from the eigenvalues
-then, if the radius proof skipped them), P solves
+gamma = r + (1 - r)/2, r the spectral radius (the fallback reads it from the
+eigenvalues itself), P solves
 (M/gamma)' P (M/gamma) + I = P, and
 
     tau = sqrt(lambda_max(P)),   rho = -ln(gamma * sqrt(1 - 1/lambda_max(P))).
@@ -65,7 +66,6 @@ must be positive definite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,9 +102,9 @@ _SCAN_CAP = 10000
 _SCAN_BATCH_MAX = 256
 _SCAN_UNDERFLOW = float(np.finfo(float).tiny / np.finfo(float).eps)
 
-# Radius proof: at most _PROOF_SQUARINGS squarings to show a later matrix's
-# radius below (1 - _PROOF_MARGIN) times the largest one read so far, a gap far
-# above the round-off of the radii and of their logarithms.
+# Radius proof: at most _PROOF_SQUARINGS squarings of M to show a later
+# matrix's radius below (1 - _PROOF_MARGIN) times the largest one read so far,
+# a gap far above the round-off of the radii and of the squared norms.
 _PROOF_SQUARINGS = 10
 _PROOF_MARGIN = 1e-8
 
@@ -346,8 +346,11 @@ def _scan_norms(M: np.ndarray, rho: float):
     return None
 
 
-def _lyapunov_certificate(M: np.ndarray, radius: float) -> tuple[float, float]:
+def _lyapunov_certificate(M: np.ndarray) -> tuple[float, float]:
     """(tau, rho) from P = (M/gamma)' P (M/gamma) + I, gamma = r + (1 - r)/2.
+
+    r is M's spectral radius, read here from its eigenvalues: a matrix whose
+    scan fails pays that pass, whether or not its radius was read before.
 
     M'PM = gamma^2 (P - I) <= q^2 P with q = gamma sqrt(1 - 1/lambda_max(P)),
     so M contracts the P-norm by q, and since P >= I,
@@ -356,6 +359,7 @@ def _lyapunov_certificate(M: np.ndarray, radius: float) -> tuple[float, float]:
 
     that is ||M^k|| <= sqrt(lambda_max(P)) q^k.
     """
+    radius = spectral_radius(M)
     gamma = radius + _LYAPUNOV_SLACK * (1.0 - radius)
     failed = f"power scan found no certifying power within {_SCAN_CAP} and the Lyapunov fallback"
     try:
@@ -371,32 +375,27 @@ def _radius_below(M: np.ndarray, r: float) -> bool:
     """True when Gelfand's formula proves spectral_radius(M) < r, for r > 0.
 
     rho(M)^(2^j) <= ||M^(2^j)||_F for every j, and the root of the right side
-    tends to rho(M) as j grows.  The powers come from squaring a copy of M
-    held at unit Frobenius norm, with the scale kept as a logarithm, so
-    nothing overflows.  The proof gives up (False) after
-    ``_PROOF_SQUARINGS`` squarings, or as soon as a squared norm leaves
-    (_SCAN_UNDERFLOW, inf): a nearly nilpotent M, or one whose entries
-    square past the double range.  A matrix that is not square has no radius
-    and is left to :func:`spectral_radius` to refuse.
+    tends to rho(M) as j grows, so the proof squares M itself and closes at
+    the first j with ||M^(2^j)||_F < r^(2^j), compared as squares.  It gives
+    up (False) after ``_PROOF_SQUARINGS`` squarings, or as soon as a squared
+    norm leaves (_SCAN_UNDERFLOW, inf), where it is no longer accurate: a
+    nearly nilpotent M, one whose powers sink before the bound closes, or one
+    whose entries square past the double range.  A matrix that is not square
+    has no radius and is left to :func:`spectral_radius` to refuse.
     """
     if M.shape[0] != M.shape[1]:
         return False
-    with np.errstate(over="ignore"):  # an overflow gives up below
-        s2 = float(np.vdot(M, M))
-    if not _SCAN_UNDERFLOW < s2 < np.inf:
-        return False
-    bound, log_r = 0.5 * math.log(s2), math.log(r)  # ln of the root of ||M^(2^j)||_F
-    P = M / math.sqrt(s2)
-    for j in range(1, _PROOF_SQUARINGS + 1):
-        if bound < log_r:
-            return True
-        P = P @ P
-        f2 = float(np.vdot(P, P))
-        if not f2 > _SCAN_UNDERFLOW:
-            return False
-        bound += math.log(f2) / 2 ** (j + 1)
-        P /= math.sqrt(f2)
-    return bound < log_r
+    bound = r * r  # r^(2^(j+1)), squared with M
+    with np.errstate(over="ignore", invalid="ignore"):  # a norm out of range gives up below
+        for j in range(_PROOF_SQUARINGS + 1):
+            f2 = float(np.vdot(M, M))
+            if not _SCAN_UNDERFLOW < f2 < np.inf:
+                return False
+            if f2 < bound:
+                return True
+            if j < _PROOF_SQUARINGS:
+                M, bound = M @ M, bound * bound
+    return False
 
 
 def _certify(matrices) -> StabilityCertificate:
@@ -404,14 +403,15 @@ def _certify(matrices) -> StabilityCertificate:
 
     The first matrix's radius comes from its eigenvalues.  A later matrix that
     :func:`_radius_below` proves below (1 - _PROOF_MARGIN) times the largest
-    radius so far cannot lower rho, so it takes no eigenvalue pass, unless it
-    needs the Lyapunov fallback, which reads its radius then.
+    radius so far cannot lower rho, so it takes no eigenvalue pass.  A proof
+    that closes at k = 2^j gives ||M^k|| <= ||M^k||_F < r^k <= e^{-rho k}, so
+    that matrix's scan closes by k, round-off aside, and it reaches the
+    Lyapunov fallback, which reads its own radius, only on exotic inputs.
     """
     matrices = [np.atleast_2d(np.asarray(M, dtype=float)) for M in matrices]
-    rho, r_max, radii = _RHO_CAP, 0.0, []
+    rho, r_max = _RHO_CAP, 0.0
     for M in matrices:
         if r_max > 0.0 and _radius_below(M, (1.0 - _PROOF_MARGIN) * r_max):
-            radii.append(None)
             continue
         sr = spectral_radius(M)
         if sr >= 1.0:
@@ -419,13 +419,8 @@ def _certify(matrices) -> StabilityCertificate:
         if sr > 0.0:
             rho = min(rho, -_RHO_SHRINK * float(np.log(sr)))
         r_max = max(r_max, sr)
-        radii.append(sr)
     scans = [_scan_norms(M, rho) for M in matrices]
-    fallback = [
-        _lyapunov_certificate(M, spectral_radius(M) if sr is None else sr)
-        for M, sr, norms in zip(matrices, radii, scans)
-        if norms is None
-    ]
+    fallback = [_lyapunov_certificate(M) for M, norms in zip(matrices, scans) if norms is None]
     rho = min([rho] + [r for _, r in fallback])
     tau = max(
         [1.0]

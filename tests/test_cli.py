@@ -101,6 +101,22 @@ class TestLoadSystem:
         with pytest.raises(d.ParseError, match="non-finite"):
             load_system_file(str(path))
 
+    @pytest.mark.parametrize(
+        "text, what",
+        [
+            ('{"A": [[1e400]], "B": [[1.0]], "Q": [[1.0]], "R": [[1.0]], "S": [[0.0]]}', "field 'A' contains non-finite entries"),
+            ('{"A": [[0.5]],\n "B": [[1.0]],,}', "is not valid JSON: line 2, column 15"),
+            ('[[0.5], [1.0], [1.0], [1.0], [0.0]]', "top level must be an object"),
+        ],
+        ids=["number-past-double-range", "malformed", "top-level-array"],
+    )
+    def test_text_that_is_no_system_refused(self, tmp_path, text, what):
+        path = tmp_path / "sys.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(d.ParseError) as exc:
+            load_system_file(path)
+        assert what in str(exc.value)
+
     def test_shape_clash_names_the_field(self, tmp_path):
         doc = scalar_doc(A=[[0.5, 0.0], [0.0, 0.5]], Q=[[1.0, 0.0], [0.0, 1.0]])
         # B stays 1x1 while A is 2x2

@@ -78,6 +78,10 @@ class TestGramian:
         with pytest.raises(d.Unstable):
             d.gramian([[1.01]], [[1.0]])
 
+    def test_shape_mismatch(self):
+        with pytest.raises(d.DimensionMismatch, match="gramian needs square A and Q of equal shape"):
+            d.gramian(np.eye(2), np.eye(3))
+
 
 class TestSolveDsylvester:
     def test_memoryless_left_factor(self):

@@ -64,6 +64,7 @@ class TestLQRSystemIngestion:
             dict(B=[[1.0], [0.0]]),  # B rows != n_x
             dict(S=[[0.0, 0.0]]),  # S cols != n_x
             dict(R=[[1.0, 0.0]]),  # R not square
+            dict(A=np.full((1, 1, 1), 0.5)),  # A not a matrix
         ],
     )
     def test_shape_mismatches(self, kwargs):
@@ -127,13 +128,20 @@ class TestSpectralNorm:
 
 class TestStabilityCertificate:
     @pytest.mark.parametrize(
-        "tau, rho",
-        [(0.5, 1.0), (1.0, 0.0), (np.nan, 1.0), (1.0, np.nan), (np.nan, np.nan)],
-        ids=["tau-below-one", "rho-zero", "tau-nan", "rho-nan", "both-nan"],
+        "tau, rho, method",
+        [
+            (0.5, 1.0, "scan"),
+            (1.0, 0.0, "scan"),
+            (np.nan, 1.0, "scan"),
+            (1.0, np.nan, "scan"),
+            (np.nan, np.nan, "scan"),
+            (1.0, 1.0, "x"),
+        ],
+        ids=["tau-below-one", "rho-zero", "tau-nan", "rho-nan", "both-nan", "unknown-method"],
     )
-    def test_out_of_range_or_nan_rejected(self, tau, rho):
+    def test_out_of_range_or_nan_rejected(self, tau, rho, method):
         with pytest.raises(ValueError):
-            d.StabilityCertificate(tau=tau, rho=rho, k_max=1)
+            d.StabilityCertificate(tau=tau, rho=rho, k_max=1, method=method)
 
 
 class TestEstimateCertificate:
@@ -268,11 +276,13 @@ class TestJointCertificate:
         [
             ([[0.9, 1.0], [0.0, 0.5]], [[0.5, 0.0], [2.0, 0.9]], "0x1.421827c3119a4p+2", "0x1.ab3db91598344p-4", 1547),
             ([[0.8, 0.3], [0.0, 0.2]], [[0.5, 2.0], [0.0, 0.95]], "0x1.21ada3df14d75p+2", "0x1.9ffe22f5bfa45p-5", 2957),
+            ([[0.9]], [[0.5, 1e200], [0.0, 0.3]], "0x1.73366fd10d667p+664", "0x1.ab3db91598344p-4", 785),
         ],
-        ids=["equal-radii", "closed-loop-slower"],
+        ids=["equal-radii", "closed-loop-slower", "entries-overflow"],
     )
     def test_closed_loop_not_proven_faster_takes_both_passes(self, A, A_cl, tau, rho, k_max, eigvals_calls):
-        # no radius proof can succeed, so both radii are read; pinned bit for bit
+        # no radius proof can succeed (the last closed loop's squared norm
+        # overflows at once), so both radii are read; pinned bit for bit
         cert = d.joint_certificate(A, A_cl)
         assert len(eigvals_calls) == 2
         assert (cert.tau, cert.rho, cert.k_max, cert.method) == (float.fromhex(tau), float.fromhex(rho), k_max, "scan")
@@ -288,20 +298,40 @@ class TestJointCertificate:
             d.joint_certificate(0.9 * np.eye(2), [[0.5, 3.0], [0.0, 1.2]])
         assert len(eigvals_calls) == 2
 
-    def test_proven_matrix_reads_its_radius_for_the_fallback(self, eigvals_calls):
-        # radius 9e-4 is proven below A's 1e-3, but the powers sink below the
-        # underflow floor at k = 100, before the scan closes, so M takes the
-        # Lyapunov fallback, which needs its radius after all; pinned bit for bit
+    def test_proof_gives_up_where_the_powers_sink(self, eigvals_calls):
+        # radius 9e-4 lies below A's 1e-3, but the squared norm of M^64 sinks
+        # below the underflow floor before the bound closes, so the proof gives
+        # up and M's radius is read; its scan's powers sink at k = 100, so M
+        # takes the Lyapunov fallback, which reads that radius once more;
+        # pinned bit for bit
         A, M = [[1e-3]], np.array([[9e-4, 9e6], [0.0, 9e-4]])
-        assert model._radius_below(M, (1.0 - model._PROOF_MARGIN) * 1e-3)
+        assert not model._radius_below(M, (1.0 - model._PROOF_MARGIN) * 1e-3)
         cert = d.joint_certificate(A, M)
-        assert eigvals_calls == [(1, 1), (2, 2)]
+        assert eigvals_calls == [(1, 1), (2, 2), (2, 2)]
         assert (cert.tau, cert.rho, cert.k_max, cert.method) == (
             float.fromhex("0x1.1269bae49b866p+24"),
             float.fromhex("0x1.626e4687580b4p-1"),
             1,
             "lyapunov",
         )
+
+    @pytest.mark.parametrize(
+        "M, norms",
+        [
+            ([[0.5, 1e200], [0.0, 0.3]], 1),
+            ([[0.6, -0.8], [0.8, 0.6]], model._PROOF_SQUARINGS + 1),
+        ],
+        ids=["entries-overflow", "rotation"],
+    )
+    def test_radius_proof_gives_up(self, M, norms, monkeypatch):
+        # an overflowing squared norm ends the proof at once, without numpy's
+        # warning; a radius-1 rotation never closes and stops after
+        # _PROOF_SQUARINGS squarings, one squared norm per power
+        taken = []
+        vdot = np.vdot
+        monkeypatch.setattr(np, "vdot", lambda a, b: taken.append(1) or vdot(a, b))
+        assert not model._radius_below(np.array(M), 0.9)
+        assert len(taken) == norms
 
     @pytest.mark.parametrize(
         "name, tau, rho",
