@@ -281,7 +281,7 @@ class TestJointCertificate:
         ids=["equal-radii", "closed-loop-slower", "entries-overflow"],
     )
     def test_closed_loop_not_proven_faster_takes_both_passes(self, A, A_cl, tau, rho, k_max, eigvals_calls):
-        # no radius proof can succeed (the last closed loop's squared norm
+        # no radius proof can succeed (in the last case A_cl's squared norm
         # overflows at once), so both radii are read; pinned bit for bit
         cert = d.joint_certificate(A, A_cl)
         assert len(eigvals_calls) == 2
