@@ -42,8 +42,8 @@ A scan that finds no such m within 10 000 powers (Jordan blocks and other
 near-defective matrices, whose transient outlasts the 1% rate slack), or whose
 powers overflow or sink into the floating-point underflow range first, falls
 back to the strong-stability certificate of Cohen et al. (2018): with
-gamma = r + (1 - r)/2, r the spectral radius (the fallback reads it from the
-eigenvalues itself), P solves
+gamma = r + (1 - r)/2, r the spectral radius (read from the eigenvalues
+then, if the radius proof skipped them), P solves
 (M/gamma)' P (M/gamma) + I = P, and
 
     tau = sqrt(lambda_max(P)),   rho = -ln(gamma * sqrt(1 - 1/lambda_max(P))).
@@ -346,11 +346,11 @@ def _scan_norms(M: np.ndarray, rho: float):
     return None
 
 
-def _lyapunov_certificate(M: np.ndarray) -> tuple[float, float]:
+def _lyapunov_certificate(M: np.ndarray, radius: float | None) -> tuple[float, float]:
     """(tau, rho) from P = (M/gamma)' P (M/gamma) + I, gamma = r + (1 - r)/2.
 
-    r is M's spectral radius, read here from its eigenvalues: a matrix whose
-    scan fails pays that pass, whether or not its radius was read before.
+    r is M's spectral radius: ``radius`` when the caller has read it, else
+    read here from the eigenvalues (a matrix whose radius proof skipped them).
 
     M'PM = gamma^2 (P - I) <= q^2 P with q = gamma sqrt(1 - 1/lambda_max(P)),
     so M contracts the P-norm by q, and since P >= I,
@@ -359,7 +359,7 @@ def _lyapunov_certificate(M: np.ndarray) -> tuple[float, float]:
 
     that is ||M^k|| <= sqrt(lambda_max(P)) q^k.
     """
-    radius = spectral_radius(M)
+    radius = spectral_radius(M) if radius is None else radius
     gamma = radius + _LYAPUNOV_SLACK * (1.0 - radius)
     failed = f"power scan found no certifying power within {_SCAN_CAP} and the Lyapunov fallback"
     try:
@@ -406,21 +406,22 @@ def _certify(matrices) -> StabilityCertificate:
     radius so far cannot lower rho, so it takes no eigenvalue pass.  A proof
     that closes at k = 2^j gives ||M^k|| <= ||M^k||_F < r^k <= e^{-rho k}, so
     that matrix's scan closes by k, round-off aside, and it reaches the
-    Lyapunov fallback, which reads its own radius, only on exotic inputs.
+    Lyapunov fallback, which then reads its radius, only on exotic inputs.
+    Every radius read here is handed to the fallback, so none is read twice.
     """
     matrices = [np.atleast_2d(np.asarray(M, dtype=float)) for M in matrices]
-    rho, r_max = _RHO_CAP, 0.0
-    for M in matrices:
+    rho, r_max, radii = _RHO_CAP, 0.0, [None] * len(matrices)
+    for i, M in enumerate(matrices):
         if r_max > 0.0 and _radius_below(M, (1.0 - _PROOF_MARGIN) * r_max):
             continue
-        sr = spectral_radius(M)
+        radii[i] = sr = spectral_radius(M)
         if sr >= 1.0:
             raise Unstable(f"spectral radius {sr:.6g} >= 1; no decay certificate exists")
         if sr > 0.0:
             rho = min(rho, -_RHO_SHRINK * float(np.log(sr)))
         r_max = max(r_max, sr)
     scans = [_scan_norms(M, rho) for M in matrices]
-    fallback = [_lyapunov_certificate(M) for M, norms in zip(matrices, scans) if norms is None]
+    fallback = [_lyapunov_certificate(M, sr) for M, sr, norms in zip(matrices, radii, scans) if norms is None]
     rho = min([rho] + [r for _, r in fallback])
     tau = max(
         [1.0]

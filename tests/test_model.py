@@ -302,12 +302,12 @@ class TestJointCertificate:
         # radius 9e-4 lies below A's 1e-3, but the squared norm of M^64 sinks
         # below the underflow floor before the bound closes, so the proof gives
         # up and M's radius is read; its scan's powers sink at k = 100, so M
-        # takes the Lyapunov fallback, which reads that radius once more;
-        # pinned bit for bit
+        # takes the Lyapunov fallback, which reuses that radius; pinned bit for
+        # bit
         A, M = [[1e-3]], np.array([[9e-4, 9e6], [0.0, 9e-4]])
         assert not model._radius_below(M, (1.0 - model._PROOF_MARGIN) * 1e-3)
         cert = d.joint_certificate(A, M)
-        assert eigvals_calls == [(1, 1), (2, 2), (2, 2)]
+        assert eigvals_calls == [(1, 1), (2, 2)]
         assert (cert.tau, cert.rho, cert.k_max, cert.method) == (
             float.fromhex("0x1.1269bae49b866p+24"),
             float.fromhex("0x1.626e4687580b4p-1"),
@@ -315,23 +315,26 @@ class TestJointCertificate:
             "lyapunov",
         )
 
-    @pytest.mark.parametrize(
-        "M, norms",
-        [
-            ([[0.5, 1e200], [0.0, 0.3]], 1),
-            ([[0.6, -0.8], [0.8, 0.6]], model._PROOF_SQUARINGS + 1),
-        ],
-        ids=["entries-overflow", "rotation"],
-    )
-    def test_radius_proof_gives_up(self, M, norms, monkeypatch):
-        # an overflowing squared norm ends the proof at once, without numpy's
-        # warning; a radius-1 rotation never closes and stops after
+    def test_proven_matrix_reads_its_radius_in_the_fallback(self, eigvals_calls, monkeypatch):
+        # J6(0.99)'s scan fails at A's rate, so it takes the Lyapunov fallback
+        # with the radius read in the loop; were it proven instead, the
+        # fallback reads that radius itself and gives the same certificate
+        A, M = [[0.99]], 0.99 * np.eye(6) + np.eye(6, k=1)
+        read = d.joint_certificate(A, M)
+        monkeypatch.setattr(model, "_radius_below", lambda M, r: True)
+        proven = d.joint_certificate(A, M)
+        assert eigvals_calls == [(1, 1), (6, 6)] * 2
+        assert read.method == "lyapunov"
+        assert proven == read
+
+    def test_radius_proof_gives_up_on_a_rotation(self, monkeypatch):
+        # a radius-1 rotation never closes the bound, so the proof stops after
         # _PROOF_SQUARINGS squarings, one squared norm per power
         taken = []
         vdot = np.vdot
         monkeypatch.setattr(np, "vdot", lambda a, b: taken.append(1) or vdot(a, b))
-        assert not model._radius_below(np.array(M), 0.9)
-        assert len(taken) == norms
+        assert not model._radius_below(np.array([[0.6, -0.8], [0.8, 0.6]]), 0.9)
+        assert len(taken) == model._PROOF_SQUARINGS + 1
 
     @pytest.mark.parametrize(
         "name, tau, rho",
