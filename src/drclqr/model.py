@@ -33,10 +33,12 @@ one power scan at that shared rho, which stops at the first power m >= 1 with
 ||M^m|| e^{rho m} <= 1, and tau is the largest ||M^k|| e^{rho k} over k < m.
 Writing k = q m + j with j < m, submultiplicativity gives
 ||M^k|| <= ||M^m||^q ||M^j|| <= tau e^{-rho k}, so the envelope holds for
-every power, not only the ones scanned.  The scan
-forms its powers in batches that double in length and takes their norms in
-chunks of a quarter batch (at least 4 powers), so fewer than max(4, m/4) of
-the singular values it takes lie past m.
+every power, not only the ones scanned.  The scan forms its powers in chunks
+and takes each chunk's norms at once: powers 1, 2..3 and 4..7, then each range
+[2^j, 2^(j+1)) in chunks of a quarter of its length, at least 4 and at most 64
+powers.  It stops at the chunk that holds m, so fewer than max(4, m/4) of the
+powers it forms lie past m, and it forms none whose norm it does not take (a
+chunk that overflows ends the scan before its norms).
 
 A scan that finds no such m within 10 000 powers (Jordan blocks and other
 near-defective matrices, whose transient outlasts the 1% rate slack), or whose
@@ -55,10 +57,10 @@ closes at the same m).  The certificate records which route was taken in
 (operator-2) norms.
 
 :func:`spectral_norm` is the package's one singular-value kernel: every
-spectral norm, of one matrix or of a stack (the scan's batches, the sweep's
+spectral norm, of one matrix or of a stack (the scan's chunks, the sweep's
 gain errors), is one call to it.  Two helpers serve the other modules and
 stay out of ``__all__``: :func:`row_powers`, the one running product behind
-the package's stacks of powers (the scan's batches, the DRC blocks and rows,
+the package's stacks of powers (the scan's chunks, the DRC blocks and rows,
 the closed-loop powers of :func:`drclqr.drc.order_gaps`, the rows of the
 instability witness), and :func:`cholesky`, the one refusal of a matrix that
 must be positive definite.
@@ -91,15 +93,15 @@ SYMMETRY_RTOL = 1e-10
 _RHO_CAP = 10.0
 _RHO_SHRINK = 0.99
 
-# Power scan: at most _SCAN_CAP powers, formed in batches that double from one
-# power up to _SCAN_BATCH_MAX, whose norms are taken in chunks of
-# max(4, batch // 4) powers up to the chunk that holds the certifying power m;
-# a batch is never longer than m, so fewer than max(4, m/4), and at most 63,
-# singular values a scan takes lie past m.  Once every entry of M^k is below
+# Power scan: at most _SCAN_CAP powers, formed and normed in chunks up to the
+# chunk that holds the certifying power m.  After k powers the next chunk is
+# min(b, max(4, b // 4), _SCAN_CHUNK_MAX, _SCAN_CAP - k) powers, b the largest
+# power of two <= k + 1.  Since b <= m, fewer than max(4, m/4), and at most 63,
+# of the powers a scan forms lie past m.  Once every entry of M^k is below
 # _SCAN_UNDERFLOW, entries that matter at working precision can be subnormal
 # and the scan can no longer certify anything.
 _SCAN_CAP = 10000
-_SCAN_BATCH_MAX = 256
+_SCAN_CHUNK_MAX = 64
 _SCAN_UNDERFLOW = float(np.finfo(float).tiny / np.finfo(float).eps)
 
 # Radius proof: at most _PROOF_SQUARINGS squarings of M to show a later
@@ -316,33 +318,31 @@ class StabilityCertificate:
 def _scan_norms(M: np.ndarray, rho: float):
     """||M^k|| for k < m, m the first power >= 1 with ||M^m|| e^{rho m} <= 1.
 
-    Each batch of powers is formed once and its norms taken at once.  Returns
-    None when there is no such m <= _SCAN_CAP, when every entry of a power
-    sinks below _SCAN_UNDERFLOW first (an exactly zero power still certifies:
-    the matrix is nilpotent), or when a power overflows to a non-finite entry,
-    since no power past it can certify.
+    Each chunk of powers is formed once and its norms taken at once (chunk
+    lengths: see the comment at _SCAN_CHUNK_MAX).  Returns None when there is
+    no such m <= _SCAN_CAP, when every entry of a power sinks below
+    _SCAN_UNDERFLOW first (an exactly zero power still certifies: the matrix
+    is nilpotent), or when a power overflows to a non-finite entry, since no
+    power past it can certify.
     """
     power = np.eye(M.shape[0])
-    k, batch, scanned = 0, 1, [np.ones(1)]
+    k, scanned = 0, [np.ones(1)]
     while k < _SCAN_CAP:
-        batch = min(batch, _SCAN_CAP - k)
+        b = 1 << ((k + 1).bit_length() - 1)
+        chunk = min(b, max(4, b // 4), _SCAN_CHUNK_MAX, _SCAN_CAP - k)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
-            block = row_powers(power @ M, M, batch)
+            block = row_powers(power @ M, M, chunk)
         top = np.abs(block).max(axis=(1, 2))
         if not np.all(np.isfinite(top)):
             return None
         sunk = (top > 0.0) & (top < _SCAN_UNDERFLOW)
-        limit = np.exp(-rho * np.arange(k + 1, k + batch + 1))
-        chunk = max(4, batch // 4)
-        for start in range(0, batch, chunk):
-            scanned.append(spectral_norm(block[start : start + chunk]))
-            stop = sunk[start : start + chunk] | (scanned[-1] <= limit[start : start + chunk])
-            if np.any(stop):
-                i = start + int(np.argmax(stop))
-                return None if sunk[i] else np.concatenate(scanned)[: k + i + 1]
+        scanned.append(spectral_norm(block))
+        stop = sunk | (scanned[-1] <= np.exp(-rho * np.arange(k + 1, k + chunk + 1)))
+        if np.any(stop):
+            i = int(np.argmax(stop))
+            return None if sunk[i] else np.concatenate(scanned)[: k + i + 1]
         power = block[-1]
-        k += batch
-        batch = min(2 * batch, _SCAN_BATCH_MAX)
+        k += chunk
     return None
 
 

@@ -199,18 +199,26 @@ class TestEstimateCertificate:
             assert np.isfinite(cert.tau)
 
     def test_scan_forms_each_power_once(self, monkeypatch):
-        # k_max 565 lies in the batch of powers 512..767 (batches of 1, 2, 4,
-        # ..., 256), so the scan forms 767 powers and no power twice
+        # k_max 565 lies in the chunk of powers 512..575 (chunks of 1, 2, 4,
+        # then a quarter of each doubling up to 64), so the scan forms 575
+        # powers, no power twice, and takes a singular value of each
         formed, row_powers = [], model.row_powers
+        normed, spectral_norm = [], model.spectral_norm
 
         def counting_row_powers(R, A, H):
             formed.append(H)
             return row_powers(R, A, H)
 
+        def counting_spectral_norm(M):
+            normed.append(len(M))
+            return spectral_norm(M)
+
         monkeypatch.setattr(model, "row_powers", counting_row_powers)
+        monkeypatch.setattr(model, "spectral_norm", counting_spectral_norm)
         cert = d.estimate_certificate([[0.5, 10.0], [0.0, 0.3]])
         assert cert.method == "scan" and cert.k_max == 565
-        assert sum(formed) == 767
+        assert sum(formed) == 575
+        assert sum(formed) == sum(normed)
 
     def test_scan_takes_norms_up_to_the_certifying_chunk(self, monkeypatch):
         # the batch of powers 512..767 takes its norms in chunks of 64, and
@@ -225,6 +233,27 @@ class TestEstimateCertificate:
         cert = d.estimate_certificate([[0.5, 10.0], [0.0, 0.3]])
         assert cert.method == "scan" and cert.k_max == 565
         assert sum(normed) <= 575
+
+    @pytest.mark.parametrize(
+        "m, corner",
+        [
+            (1, 0.02), (2, 0.048), (3, 0.05), (4, 0.053), (5, 0.056), (7, 0.064), (8, 0.068),
+            (9, 0.072), (11, 0.08), (12, 0.083), (13, 0.087), (15, 0.094), (16, 0.098), (17, 0.101),
+            (63, 0.235), (64, 0.238), (65, 0.24), (255, 1.15), (256, 1.16), (257, 1.166),
+        ],
+    )
+    def test_scan_closes_at_chunk_boundaries(self, m, corner):
+        # chunks start at powers 1, 2, 4, 8, 12, 16, ..., 64, 80, ..., 256,
+        # 320, ...; each corner lies mid-way in the range of corners whose
+        # certifying power is m, which falls just before, on or just after a
+        # chunk's first power
+        M = [[0.5, corner], [0.0, 0.3]]
+        cert = d.estimate_certificate(M)
+        tau, rho, k_max = scan_certificate([M])
+        assert cert.method == "scan"
+        assert cert.k_max == k_max == m
+        assert cert.rho == rho
+        assert cert.tau == pytest.approx(tau, rel=1e-9)
 
     def test_overflowing_powers_take_the_fallback(self):
         # stable (spectral radius 0.5), but the second power overflows: the scan
