@@ -20,11 +20,13 @@ the plant as loaded.
 
 Every command that needs the optimal order-H DRC reads it off the
 finite-horizon Riccati recursion: sweep and cost --h take every order's
-gaps from :func:`drclqr.drc.order_gaps`, and drc --h and simulate --h take
-the policy from :func:`drclqr.drc.optimal_drc`.  drc prints that policy's
-L1; its solve_residual is ||M L + J|| against the paper's assembled
-equation, a check of the recursion, and its cost is trace_P plus the
-order-H cost gap, the cost_drc that cost --h prints.
+gaps from :func:`drclqr.drc.order_gaps`, simulate --h takes the policy from
+:func:`drclqr.drc.optimal_drc`, and drc --h takes both its policy and its
+cost from one order_gaps call, the policy built from its gains as
+optimal_drc builds it.  drc prints that policy's L1; its solve_residual is
+||M L + J|| against the paper's assembled equation, a check of the
+recursion, and its cost is trace_P plus the order-H cost gap, the cost_drc
+that cost --h prints.
 
 The sweep (one row per order H) is the package's headline experiment: it
 measures how fast the first DRC block converges to the optimal gain and
@@ -79,7 +81,7 @@ from itertools import chain
 
 import numpy as np
 
-from .drc import DRCPolicy, assemble, optimal_drc, order_gaps
+from .drc import DRCPolicy, assemble, optimal_drc, order_gaps, policy_from_gains
 from .exceptions import DimensionMismatch, DrclqrError, InvalidHorizon, ParseError, Unstable
 from .lyapunov import gramian
 from .model import LQRSystem, joint_certificate, spectral_norm, spectral_radius, validate_system
@@ -415,15 +417,16 @@ def _cmd_drc(args) -> int:
 
     sys_, K0 = _stable_problem(args)
     sol = solve_dare(sys_)
-    policy = optimal_drc(sys_, sol.P, sol.K, args.h)
+    # one reading of the Riccati recursion gives the policy and its cost gap
+    gain_gaps, cost_gaps = order_gaps(sys_, sol.P, sol.K, args.h)
+    policy = policy_from_gains(sys_, sol.K + gain_gaps)
     # the recursion's policy checked against the paper's equation
     mats = assemble(sys_, gramian(sys_.A, sys_.Q), args.h)
     residual = spectral_norm(mats.M @ policy.stacked() + mats.J)
-    gap = order_gaps(sys_, sol.P, sol.K, args.h)[1][args.h - 1]
     print(f"H= {policy.H}")
     print(f"L1= {_fmt_matrix(policy.first if K0 is None else recover_gain(K0, policy.first))}")
     print(f"solve_residual= {_fmt(residual)}")
-    print(f"cost= {_fmt(sol.trace_P + gap)}")
+    print(f"cost= {_fmt(sol.trace_P + cost_gaps[-1])}")
     return 0
 
 

@@ -11,6 +11,10 @@ under x_{t+1} = A x_t + B u_t + w_t with w_t ~ N(0, I):
   H-order disturbance-response policy, exact in exact arithmetic.
 * :func:`simulate`: a seeded Monte-Carlo rollout for either controller type.
 
+Each returns a :class:`CostReport`: the value and its standard error, 0 for
+the two analytic routes.  A rollout decides once, before its first step,
+whether its controller is a gain or a DRC.
+
 :func:`drc_state_covariance` is the exact second moment of the state under a
 DRC as a function of how many disturbances have entered; it needs no
 stability assumption and is the primary tool of the instability witness in
@@ -34,9 +38,7 @@ deterministic.  A rollout keys one generator and draws its noise from it
 in blocks of steps: every row ends on a whole counter step, so the blocks
 read the same rows as one generator per step would; :func:`disturbance`
 positions a generator at step t instead.  Each block's states come from a
-log-depth doubling scan rather than a step-by-step loop.  (An earlier
-layout keyed one generator on (seed, t) per step, so the same seed gave
-different numbers before.)
+log-depth doubling scan rather than a step-by-step loop.
 
 The Monte-Carlo ``std_error`` is a batch-means estimate: floor(sqrt(n))
 consecutive batches over the n post-burn-in costs.  Stage costs of a
@@ -69,24 +71,18 @@ __all__ = [
 # and the witness rollouts cross it long before reaching float overflow.
 OVERFLOW_LIMIT = 1e50
 
-COST_METHODS = ("analytic_gain", "analytic_drc", "monte_carlo")
-
 
 @dataclass(frozen=True)
 class CostReport:
-    """Average per-step cost plus how it was obtained.
+    """Average per-step cost and its standard error.
 
-    ``std_error`` is 0 for the analytic methods and, for Monte-Carlo, the
-    batch-means standard error of the mean (0 for a single cost).
+    ``std_error`` is 0 from the analytic routes :func:`cost_of_gain` and
+    :func:`cost_of_drc`; from :func:`simulate` it is the batch-means
+    standard error of the mean (0 for a single cost).
     """
 
     value: float
-    method: str
     std_error: float = 0.0
-
-    def __post_init__(self):
-        if self.method not in COST_METHODS:
-            raise ValueError(f"unknown method {self.method!r}, expected one of {COST_METHODS}")
 
 
 def cost_of_gain(sys: LQRSystem, K) -> CostReport:
@@ -105,7 +101,7 @@ def cost_of_gain(sys: LQRSystem, K) -> CostReport:
     except Unstable as exc:
         raise Unstable(f"closed loop A+BK: {exc}") from exc
     value = float(np.trace(sigma @ sys.stage_weight(K)))
-    return CostReport(value=value, method="analytic_gain")
+    return CostReport(value=value)
 
 
 def cost_of_drc(sys: LQRSystem, G, policy: DRCPolicy) -> CostReport:
@@ -124,7 +120,7 @@ def cost_of_drc(sys: LQRSystem, G, policy: DRCPolicy) -> CostReport:
     mats = assemble(sys, G, policy.H)
     L = policy.stacked()
     value = float(np.trace(G + 2.0 * L.T @ mats.J + L.T @ mats.M @ L))
-    return CostReport(value=value, method="analytic_drc")
+    return CostReport(value=value)
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +257,11 @@ def simulate(sys: LQRSystem, controller, steps: int, burn_in: int = 1000, seed: 
                 f"policy blocks are {controller.n_u} x {controller.n_x}, system needs {n_u} x {n_x}"
             )
         H = controller.H
-        gain = None
         F = A
-        hist = np.zeros((H, n_x))  # w_{t0-H} .. w_{t0-1}
         weight = sys.joint_weight()  # stage cost z'Wz, z = [x; u]
+        blocks_T = np.ascontiguousarray(controller.blocks.transpose(0, 2, 1))  # (H, n_x, n_u)
+        B_T = np.ascontiguousarray(B.T)
+        hist = np.zeros((H, n_x))  # w_{t0-H} .. w_{t0-1}
     else:
         gain = np.atleast_2d(np.asarray(controller, dtype=float))
         F = A + B @ gain
@@ -272,21 +269,19 @@ def simulate(sys: LQRSystem, controller, steps: int, burn_in: int = 1000, seed: 
         if sr >= 1.0:
             raise Unstable(f"closed loop A+BK has spectral radius {sr:.6g} >= 1")
         weight = sys.stage_weight(gain)  # stage cost x'W_K x
+        blocks_T = None  # u = Kx is folded into F
 
     x = np.zeros(n_x)
     n = steps - burn_in
     batches, length = _batch_layout(n)
     batch_sums = np.zeros(batches)
     total = 0.0
-    # The right-hand operands of the block products, F', the L_k' and B', are
-    # copied once into contiguous arrays: on a transposed view OpenBLAS takes
-    # a slower path for these skinny products, 1.5-2x slower in timeit
-    # (minimum of 2000, n_x 10, n_u 2: a 2048-row block @ L_k' 15 -> 7.5 us,
-    # @ F' 22-23 -> 14-15 us, u @ B' 14 -> 9 us).
+    # The right-hand operands of the block products, F' here and a DRC's L_k'
+    # and B' above, are copied once into contiguous arrays: on a transposed
+    # view OpenBLAS takes a slower path for these skinny products, 1.5-2x
+    # slower in timeit (minimum of 2000, n_x 10, n_u 2: a 2048-row block
+    # @ L_k' 15 -> 7.5 us, @ F' 22-23 -> 14-15 us, u @ B' 14 -> 9 us).
     F_T = np.ascontiguousarray(F.T)
-    if gain is None:
-        blocks_T = np.ascontiguousarray(controller.blocks.transpose(0, 2, 1))  # (H, n_x, n_u)
-        B_T = np.ascontiguousarray(B.T)
     gen = _stream(seed, 0, n_x)
     with np.errstate(over="ignore", invalid="ignore"):
         powers_T = []  # (F^k)' for k = 1, 2, 4, ... < _BLOCK, up to the first that has vanished
@@ -296,14 +291,12 @@ def simulate(sys: LQRSystem, controller, steps: int, burn_in: int = 1000, seed: 
             P_T = P_T @ P_T
         for t0 in range(0, steps, _BLOCK):
             m = min(_BLOCK, steps - t0)
-            w = _draw(gen, m, n_x)
-            if gain is None:
+            d = w = _draw(gen, m, n_x)
+            if blocks_T is not None:  # the FIR filter's input enters as Bu
                 padded = np.vstack((hist, w))
                 u = sum(padded[H - k : H - k + m] @ L_T for k, L_T in enumerate(blocks_T, start=1))
                 hist = padded[m:]
                 d = u @ B_T + w
-            else:
-                d = w
             xs = _states(x, d, F, powers_T)
             if not np.abs(xs[1:]).max() <= OVERFLOW_LIMIT:  # NaN fails this too
                 bad = ~np.all(np.abs(xs[1:]) <= OVERFLOW_LIMIT, axis=1)
@@ -312,7 +305,7 @@ def simulate(sys: LQRSystem, controller, steps: int, burn_in: int = 1000, seed: 
             x = xs[m]
             lo = max(burn_in - t0, 0)
             if lo < m:
-                z = xs[lo:m] if gain is not None else np.hstack((xs[lo:m], u[lo:m]))
+                z = xs[lo:m] if blocks_T is None else np.hstack((xs[lo:m], u[lo:m]))
                 costs = np.einsum("ij,ij->i", z @ weight, z)
                 total += float(np.sum(costs))
                 g0 = t0 + lo - burn_in  # index of costs[0] among all n costs; bin `batches` is the tail
@@ -320,7 +313,7 @@ def simulate(sys: LQRSystem, controller, steps: int, burn_in: int = 1000, seed: 
     std_error = 0.0
     if n > 1:
         std_error = float(np.std(batch_sums / length, ddof=1) / np.sqrt(batches))
-    return CostReport(value=total / n, method="monte_carlo", std_error=std_error)
+    return CostReport(value=total / n, std_error=std_error)
 
 
 def drc_state_covariance(sys: LQRSystem, policy: DRCPolicy, t: int) -> np.ndarray:

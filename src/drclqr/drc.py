@@ -20,9 +20,11 @@ first block is that recursion's gain K_{H-1} and its cost is trace(P_H)
 (Hager & Horowitz 1976; Bitmead & Gevers 1991).  :func:`order_gaps` reads
 every order's gain gap and cost gap off one closed form of that recursion,
 measured from the DARE's P, and :func:`optimal_drc` builds one order's
-blocks from its gains; neither factors M.  That is the library's route to
-the order-H optimum, and the only one the command line takes: near marginal
-stability it keeps the digits a factorization of M loses.
+blocks from its gains with :func:`policy_from_gains`, a helper outside
+``__all__`` that the command line's drc --h shares; neither factors M.
+That is the library's route to the order-H optimum, and the only one the
+command line takes: near marginal stability it keeps the digits a
+factorization of M loses.
 :func:`solve_drc` stays as the paper's equation, (M, J) from
 :func:`assemble` solved densely, and is the check the recursion is held to.
 
@@ -254,29 +256,43 @@ def order_gaps(sys: LQRSystem, P, K, H_max: int):
     return -(W @ Z), np.sum(F[1:] * Z, axis=(1, 2))
 
 
-def optimal_drc(sys: LQRSystem, P, K, H: int) -> DRCPolicy:
-    """The optimal order-H policy, read off the finite-horizon Riccati recursion.
+def policy_from_gains(sys: LQRSystem, gains) -> DRCPolicy:
+    """The order-H policy that answers a disturbance with the recursion's feedback.
 
-    P and K are the DARE's solution.  The recursion's gains are
-    K_j = K + gain[j] from :func:`order_gaps`, and the disturbance entering
-    the state is answered by the recursion's feedback over the next H steps:
+    ``gains`` is the (H, n_u, n_x) stack K_0 .. K_{H-1} of the finite-horizon
+    Riccati recursion, K + gain from :func:`order_gaps`.  The disturbance
+    entering the state is answered by that feedback over the next H steps:
     with Phi_0 = I,
 
         L_k = K_{H-k} Phi_{k-1} ,     Phi_k = A Phi_{k-1} + B L_k ,
 
-    so Phi_{k-1} is the state k - 1 steps after a unit disturbance.  This is
-    the solution of :func:`solve_drc` on :func:`assemble`'s (M, J), with no
-    system of size H n_u formed: O(H n_x^3).  Each gain keeps its accuracy
-    where the dense solve loses digits, near marginal stability.
+    so Phi_{k-1} is the state k - 1 steps after a unit disturbance: H
+    n_x x n_x products.  :func:`optimal_drc` and the command line's drc --h,
+    which also prints the order-H cost gap of the same :func:`order_gaps`
+    call, build their policy here.
     """
-    if H < 1:
-        raise InvalidHorizon(f"H must be >= 1, got {H}")
-    gains = K + order_gaps(sys, P, K, H)[0]
+    H = len(gains)
     blocks, Phi = np.empty_like(gains), np.eye(sys.n_x)
     for k in range(H):
         blocks[k] = gains[H - 1 - k] @ Phi
         Phi = sys.A @ Phi + sys.B @ blocks[k]
     return DRCPolicy(blocks=blocks)
+
+
+def optimal_drc(sys: LQRSystem, P, K, H: int) -> DRCPolicy:
+    """The optimal order-H policy, read off the finite-horizon Riccati recursion.
+
+    P and K are the DARE's solution.  The recursion's gains are
+    K_j = K + gain[j] from :func:`order_gaps`, and :func:`policy_from_gains`
+    turns them into the blocks L_k = K_{H-k} Phi_{k-1}, Phi_{k-1} the state
+    k - 1 steps after a unit disturbance.  This is the solution of
+    :func:`solve_drc` on :func:`assemble`'s (M, J), with no system of size
+    H n_u formed: O(H n_x^3).  Each gain keeps its accuracy where the dense
+    solve loses digits, near marginal stability.
+    """
+    if H < 1:
+        raise InvalidHorizon(f"H must be >= 1, got {H}")
+    return policy_from_gains(sys, K + order_gaps(sys, P, K, H)[0])
 
 
 def induced_drc(K, sys: LQRSystem, H: int) -> DRCPolicy:

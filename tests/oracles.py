@@ -515,7 +515,7 @@ def loop_simulate(sys: LQRSystem, controller, steps: int, burn_in: int = 1000, s
         b = max(int(np.sqrt(n)), 2)
         means = costs[: b * (n // b)].reshape(b, -1).mean(axis=1)
         std_error = float(np.std(means, ddof=1) / np.sqrt(b))
-    return CostReport(value=float(np.mean(costs)), method="monte_carlo", std_error=std_error)
+    return CostReport(value=float(np.mean(costs)), std_error=std_error)
 
 
 def long_run_variance(F, M, E) -> float:

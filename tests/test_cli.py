@@ -371,6 +371,16 @@ class TestDispatch:
         assert dispatch(["witness", "--n", "4", "--h", "3", "--t", "12"]) == 0
         assert len(calls) == 1
 
+    def test_drc_reads_the_riccati_recursion_once(self, monkeypatch, capsys):
+        # the policy and the cost= line come from one order_gaps call
+        calls = []
+        real = d.drc.order_gaps
+        for module in (d.drc, d.cli):  # every namespace that could bind it
+            monkeypatch.setattr(module, "order_gaps", lambda *a: calls.append(a) or real(*a))
+        assert dispatch(["drc", str(DEMO_PATH), "--h", "5"]) == 0
+        assert "cost= " in capsys.readouterr().out
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("t", ["500", "600", "1000000000"])
     def test_witness_overflow_is_a_domain_error(self, t, capsys):
         assert dispatch(["witness", "--n", "4", "--h", "3", "--t", t]) == 1

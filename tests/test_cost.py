@@ -11,7 +11,7 @@ from numpy.random import default_rng
 
 import drclqr as d
 import drclqr.cost as cost
-from drclqr.cost import _BLOCK, COST_METHODS, _batch_layout, _draw, _states, _stream, disturbance
+from drclqr.cost import _BLOCK, _batch_layout, _draw, _states, _stream, disturbance
 from conftest import DEMO_PATH
 from oracles import (
     box_muller_noise,
@@ -34,7 +34,6 @@ class TestCostOfGain:
     def test_memoryless_plant_zero_gain(self):
         rep = d.cost_of_gain(scalar_system(a=0.0), [[0.0]])
         assert rep.value == pytest.approx(1.0, abs=1e-13)
-        assert rep.method == "analytic_gain"
         assert rep.std_error == 0.0
 
     def test_scalar_optimal_gain_recovers_trace_p(self):
@@ -61,7 +60,6 @@ class TestCostOfDrc:
         policy = d.DRCPolicy(blocks=(np.zeros((1, 3)),) * 4)
         rep = d.cost_of_drc(demo_system, demo_gramian, policy)
         assert rep.value == pytest.approx(float(np.trace(demo_gramian)), rel=1e-12)
-        assert rep.method == "analytic_drc"
 
     def test_scalar_order_one_closed_form(self):
         # G = 4/3, L = -2/7: trace identity gives 4/3 - 4/21 = 24/21
@@ -377,7 +375,6 @@ class TestSimulate:
         sys_ = scalar_system()
         sol = d.solve_dare(sys_)
         rep = d.simulate(sys_, sol.K, steps=20_000, burn_in=500, seed=0)
-        assert rep.method == "monte_carlo"
         assert abs(rep.value - sol.trace_P) <= 3.0 * rep.std_error
 
     def test_scalar_drc_matches_analytic(self):
@@ -488,6 +485,31 @@ def test_states_match_a_per_step_loop(seed, n, radius, m):
     assert np.max(np.abs(xs - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_x=st.integers(1, 4),
+    n_u=st.integers(1, 2),
+    radius=st.floats(0.0, 0.95),
+    H=st.none() | st.integers(1, 5),
+    steps=st.integers(1, _BLOCK + 70) | st.integers(_BLOCK - 70, _BLOCK + 70),
+    data=st.data(),
+)
+def test_rollout_matches_the_per_step_loop(seed, n_x, n_u, radius, H, steps, data):
+    # both set-up branches, the DARE gain and an optimal DRC, over windows
+    # of any length, and about half of them ending near or past the end of
+    # the first block
+    burn_in = data.draw(st.integers(0, steps - 1), label="burn_in")
+    rng = default_rng(seed)
+    sys_ = system_with_dynamics(rng, scaled_orthogonal(rng, n_x, radius), n_u)
+    sol = d.solve_dare(sys_)
+    controller = sol.K if H is None else d.optimal_drc(sys_, sol.P, sol.K, H)
+    rep = d.simulate(sys_, controller, steps=steps, burn_in=burn_in, seed=seed)
+    ref = loop_simulate(sys_, controller, steps=steps, burn_in=burn_in, seed=seed)
+    assert rep.value == pytest.approx(ref.value, rel=1e-10)
+    assert rep.std_error == pytest.approx(ref.std_error, rel=1e-10)
+
+
 class TestDrcStateCovariance:
     def test_first_step_is_identity(self, demo_system):
         policy = d.DRCPolicy(blocks=(np.ones((1, 3)),) * 2)
@@ -533,9 +555,3 @@ class TestDrcStateCovariance:
         policy = d.DRCPolicy(blocks=(np.zeros((1, 3)),))
         with pytest.raises(d.InvalidHorizon):
             d.drc_state_covariance(demo_system, policy, 0)
-
-
-def test_cost_report_rejects_unknown_method():
-    assert "monte_carlo" in COST_METHODS
-    with pytest.raises(ValueError):
-        d.CostReport(value=1.0, method="guesswork")
