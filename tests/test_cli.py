@@ -2,6 +2,7 @@ import io
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -477,6 +478,41 @@ class TestDispatch:
         assert dispatch(["sweep", str(DEMO_PATH), "--out", str(out_path)]) == 1
         assert "stand-in failure" in capsys.readouterr().err
         assert out_path.read_text(encoding="utf-8") == ""
+
+    @pytest.mark.parametrize("stale_bytes", [10_000, 5])
+    def test_out_over_a_stale_file_holds_only_the_csv(self, tmp_path, capsys, stale_bytes):
+        def swept_text(path):
+            assert dispatch(["sweep", str(DEMO_PATH), "--h-max", "5", "--out", str(path)]) == 0
+            # wall_ms, the last column of each row, is the only timing in the file
+            return re.sub(r"^(\d+,.*),[^,\n]*$", r"\1,*", path.read_bytes().decode("utf-8"), flags=re.M)
+
+        fresh = swept_text(tmp_path / "fresh.csv")
+        assert 5 < len(fresh) < 10_000
+        stale = tmp_path / "stale.csv"
+        stale.write_bytes(b"x" * stale_bytes)
+        assert swept_text(stale) == fresh
+
+    @pytest.mark.skipif(
+        not (os.path.exists(os.devnull) and stat.S_ISCHR(os.stat(os.devnull).st_mode)),
+        reason="os.devnull is not a character device",
+    )
+    def test_out_to_devnull(self, capsys, monkeypatch):
+        monkeypatch.delenv("DRC_LQR_LOG", raising=False)
+        assert dispatch(["sweep", str(DEMO_PATH), "--h-max", "3", "--out", os.devnull]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_out_is_opened_once_without_truncating(self, tmp_path, capsys, monkeypatch):
+        out_path, flags_seen, real_open = tmp_path / "x.csv", [], os.open
+
+        def spying_open(path, flags, *args, **kwargs):
+            if os.fspath(path) == str(out_path):
+                flags_seen.append(flags)
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spying_open)
+        assert dispatch(["sweep", str(DEMO_PATH), "--h-max", "3", "--out", str(out_path)]) == 0
+        assert len(flags_seen) == 1
+        assert flags_seen[0] & os.O_CREAT and not flags_seen[0] & os.O_TRUNC
 
     def test_parser_reuse_leaks_nothing(self, tmp_path, capsys, monkeypatch):
         out_path = tmp_path / "sweep.csv"

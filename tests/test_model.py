@@ -221,8 +221,8 @@ class TestEstimateCertificate:
         assert sum(formed) == sum(normed)
 
     def test_scan_takes_norms_up_to_the_certifying_chunk(self, monkeypatch):
-        # the batch of powers 512..767 takes its norms in chunks of 64, and
-        # 512..575 holds k_max 565, so 575 powers get a singular value, not 767
+        # from power 256 on, the scan forms and norms each chunk of 64 powers in one pass,
+        # and the chunk 512..575 holds k_max 565, so no power past 575 gets a norm
         normed, spectral_norm = [], model.spectral_norm
 
         def counting_spectral_norm(M):
